@@ -54,6 +54,17 @@ def _parse_window(text: str) -> Tuple[int, int]:
     return window
 
 
+def _title_threshold(text: str) -> float:
+    """argparse type for --title-threshold: a number in (0, 1]; NaN is refused."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1], got {text!r}")
+    return value
+
+
 def _write_atomic(path: str, data: bytes) -> None:
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
@@ -89,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--records-dir", required=True)
     p.add_argument("--alias")
     p.add_argument("--window", default="2003:2007")
-    p.add_argument("--title-threshold", type=float, default=0.92)
+    p.add_argument("--title-threshold", type=_title_threshold, default=0.92)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("indicators", help="per-journal indicator table as CSV")

@@ -64,6 +64,11 @@ class ArticleRecord:
     publisher: str = ""
     url: str = ""
     status: ArticleStatus = ArticleStatus.KEPT
+    # export line the record was parsed from, named in cleaning decisions. Only
+    # the export parser sets it, after construction, so records built elsewhere
+    # (from corpus JSON, say) pay nothing for it. It is not serialized, takes no
+    # part in equality, and dataclasses.replace does not carry it over.
+    line_number: Optional[int] = field(default=None, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)

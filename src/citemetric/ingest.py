@@ -14,6 +14,7 @@ import io
 import json
 import re
 import unicodedata
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
@@ -30,6 +31,7 @@ from .corpus import (
 )
 from .errors import (
     BadCell,
+    DomainError,
     DuplicateId,
     MalformedHeader,
     MixedJournal,
@@ -85,6 +87,11 @@ class DedupConfig:
     window: Tuple[int, int] = (2003, 2007)
     title_threshold: float = 0.92
     alias_map: Mapping[str, str] = field(default_factory=dict)
+
+    def __post_init__(self):
+        # also rejects NaN, which would otherwise reach the edit-budget derivation
+        if not 0.0 < self.title_threshold <= 1.0:
+            raise DomainError(f"title threshold must lie in (0, 1], got {self.title_threshold}")
 
 
 def _decode(content) -> str:
@@ -175,19 +182,19 @@ def parse_citation_export(content, journal_id: str) -> list[ArticleRecord]:
         cells = dict(zip(EXPORT_HEADER.split(","), row.fields))
         year_text = cells["year"].strip()
         year = _int_cell(row, "year", year_text, minimum=-(10**9)) if year_text else None
-        records.append(
-            ArticleRecord(
-                journal_id=journal_id,
-                title=cells["title"].strip(),
-                year=year,
-                cites=_int_cell(row, "cites", cells["cites"]),
-                authors=cells["authors"].strip(),
-                publication=cells["publication"].strip(),
-                publisher=cells["publisher"].strip(),
-                url=cells["url"].strip(),
-                status=ArticleStatus.KEPT,
-            )
+        record = ArticleRecord(
+            journal_id=journal_id,
+            title=cells["title"].strip(),
+            year=year,
+            cites=_int_cell(row, "cites", cells["cites"]),
+            authors=cells["authors"].strip(),
+            publication=cells["publication"].strip(),
+            publisher=cells["publisher"].strip(),
+            url=cells["url"].strip(),
+            status=ArticleStatus.KEPT,
         )
+        object.__setattr__(record, "line_number", row.line_number)  # frozen, init=False field
+        records.append(record)
     return records
 
 
@@ -234,9 +241,71 @@ def title_similarity(a: str, b: str) -> float:
     return 1.0 - levenshtein(a, b) / longest
 
 
-def _line_of(index: int) -> int:
-    # records arrive in file order; the header is line 1, so data starts at 2
-    return index + 2
+def _edit_budget(length: int, threshold: float) -> int:
+    """Largest distance d with ``1.0 - d / length >= threshold``, by that float expression.
+
+    Deriving it from ``(1 - threshold) * length`` alone is off by one where
+    rounding lands on the boundary (length 25 at 0.92, for one), so the
+    estimate is corrected against the exact test title_similarity applies.
+    """
+    if length == 0:
+        return 0  # two empty titles: similarity 1.0, always similar
+    d = int((1.0 - threshold) * length)
+    while d < length and 1.0 - (d + 1) / length >= threshold:
+        d += 1
+    while d > 0 and 1.0 - d / length < threshold:
+        d -= 1
+    return d
+
+
+def _banded_levenshtein(a: str, b: str, k: int) -> int:
+    """Levenshtein distance when it is at most k, otherwise some value above k.
+
+    Ukkonen's band: a path of cost at most k never leaves the diagonals
+    ``|i - j| <= k``, so cells outside them stand at k + 1, and the scan stops
+    once a whole row of the band is above k (row minima never decrease).
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    m, n = len(a), len(b)
+    over = k + 1
+    if n - m > k:
+        return over
+    previous = [j if j <= k else over for j in range(m + 1)]
+    for i in range(1, n + 1):
+        cb = b[i - 1]
+        lo, hi = max(1, i - k), min(m, i + k)
+        current = [over] * (m + 1)
+        if i <= k:
+            current[0] = i
+        for j in range(lo, hi + 1):
+            # min(substitute, delete, insert) without the cost of calling min()
+            value = previous[j - 1] + (a[j - 1] != cb)
+            if previous[j] < value:
+                value = previous[j] + 1
+            if current[j - 1] < value:
+                value = current[j - 1] + 1
+            current[j] = value
+        if min(current[lo - 1 : hi + 1]) > k:
+            return over
+        previous = current
+    return previous[m]
+
+
+def _exact_similarity(a: str, b: str, budget: Sequence[int]) -> float:
+    """title_similarity(a, b), with the banded match standing in when it is exact.
+
+    Group members joined through a chain of pairs can lie further apart than
+    the budget; then the full distance is computed, never the band's cap.
+    """
+    longest = max(len(a), len(b))
+    if longest == 0:
+        return 1.0
+    k = budget[longest]
+    distance = _banded_levenshtein(a, b, k)
+    if distance > k:
+        distance = levenshtein(a, b)
+    return 1.0 - distance / longest
 
 
 def deduplicate(
@@ -247,6 +316,8 @@ def deduplicate(
     Order matters: incomplete rows leave first, similar-title groups collapse
     second (highest cites wins, earlier row wins ties), and cross-language
     suspects are flagged last. All decisions are deterministic in input order.
+    A decision names the export lines of its rows; a record without a
+    ``line_number`` counts as line ``index + 2`` (data starts under the header).
     """
     ids = {r.journal_id for r in records}
     if len(ids) > 1:
@@ -255,6 +326,10 @@ def deduplicate(
     start, end = config.window
     statuses: dict[int, ArticleStatus] = {}
     decisions: list[DedupDecision] = []
+    lines = [
+        i + 2 if record.line_number is None else record.line_number
+        for i, record in enumerate(records)
+    ]
 
     for i, record in enumerate(records):
         incomplete = (
@@ -266,8 +341,8 @@ def deduplicate(
             statuses[i] = ArticleStatus.DROPPED_INCOMPLETE
             decisions.append(
                 DedupDecision(
-                    kept_line=_line_of(i),
-                    dropped_lines=(_line_of(i),),
+                    kept_line=lines[i],
+                    dropped_lines=(lines[i],),
                     rule=DedupRule.INCOMPLETE_FIELDS,
                 )
             )
@@ -276,6 +351,13 @@ def deduplicate(
 
     survivors = [i for i in range(len(records)) if statuses[i] is ArticleStatus.KEPT]
     normalized = {i: normalize_title(records[i].title) for i in survivors}
+
+    # A pair is similar when its distance is within the budget of the longer
+    # title's length L. budget[L] is the exact threshold test, so only pairs
+    # that pass it join, exactly as a full pairwise scan would decide.
+    longest = max((len(t) for t in normalized.values()), default=0)
+    budget = [_edit_budget(length, config.title_threshold) for length in range(longest + 1)]
+    bags = {i: Counter(normalized[i]) for i in survivors}
 
     # similar-title groups via union-find over pairs at or above the threshold
     parent = {i: i for i in survivors}
@@ -286,11 +368,27 @@ def deduplicate(
             i = parent[i]
         return i
 
-    for pos, i in enumerate(survivors):
-        for j in survivors[pos + 1 :]:
-            if title_similarity(normalized[i], normalized[j]) >= config.title_threshold:
+    # Sweep in length order: the distance is at least the length gap, and
+    # L - budget[L] never decreases with L, so once the gap exceeds the budget
+    # no longer title can match. The bag (character multiset) distance is a
+    # second lower bound; the banded match decides what both let through.
+    by_length = sorted(survivors, key=lambda i: len(normalized[i]))
+    for pos, i in enumerate(by_length):
+        a = normalized[i]
+        for j in by_length[pos + 1 :]:
+            b = normalized[j]
+            k = budget[len(b)]
+            if len(b) - len(a) > k:
+                break
+            if find(i) == find(j):
+                continue
+            if a == b or (
+                sum((bags[j] - bags[i]).values()) <= k and _banded_levenshtein(a, b, k) <= k
+            ):
                 parent[find(j)] = find(i)
 
+    # the partition does not depend on which pairs joined it, and groups are
+    # read in survivor order, so decisions come out as a pairwise scan's would
     groups: dict[int, list[int]] = {}
     for i in survivors:
         groups.setdefault(find(i), []).append(i)
@@ -303,46 +401,53 @@ def deduplicate(
             statuses[i] = ArticleStatus.DROPPED_DUPLICATE
         decisions.append(
             DedupDecision(
-                kept_line=_line_of(winner),
-                dropped_lines=tuple(_line_of(i) for i in dropped),
+                kept_line=lines[winner],
+                dropped_lines=tuple(lines[i] for i in dropped),
                 rule=DedupRule.SIMILAR_TITLE,
                 similarity=min(
-                    title_similarity(normalized[winner], normalized[i]) for i in dropped
+                    _exact_similarity(normalized[winner], normalized[i], budget) for i in dropped
                 ),
             )
         )
 
-    # cross-language suspects: same (year, cites), no shared title words
+    # cross-language suspects: same (year, cites), no shared title words.
+    # Only rows of one (year, cites) bucket can pair, so each row is paired
+    # with the later rows of its bucket, in the order a scan of all pairs
+    # would meet them.
     alias = {normalize_title(k): normalize_title(v) for k, v in config.alias_map.items()}
     kept = [i for i in survivors if statuses[i] is ArticleStatus.KEPT]
-    for pos, i in enumerate(kept):
+    buckets: dict[tuple, list[int]] = {}
+    later: dict[int, int] = {}  # row -> position of the next row in its bucket
+    for i in kept:
+        bucket = buckets.setdefault((records[i].year, records[i].cites), [])
+        bucket.append(i)
+        later[i] = len(bucket)
+    tokens = {i: set(normalized[i].split()) for i in kept}
+    for i in kept:
         if statuses[i] is not ArticleStatus.KEPT:
             continue
-        for j in kept[pos + 1 :]:
+        for j in buckets[(records[i].year, records[i].cites)][later[i] :]:
             if statuses[j] not in (ArticleStatus.KEPT, ArticleStatus.NEEDS_REVIEW):
                 continue
-            a, b = records[i], records[j]
-            if (a.year, a.cites) != (b.year, b.cites):
-                continue
-            tokens_a, tokens_b = set(normalized[i].split()), set(normalized[j].split())
+            tokens_a, tokens_b = tokens[i], tokens[j]
             if not tokens_a or not tokens_b or tokens_a & tokens_b:
                 continue
             if alias.get(normalized[i]) == normalized[j]:
                 statuses[i] = ArticleStatus.DROPPED_DUPLICATE
                 decisions.append(
-                    DedupDecision(_line_of(j), (_line_of(i),), DedupRule.CROSS_LANGUAGE_SUSPECT)
+                    DedupDecision(lines[j], (lines[i],), DedupRule.CROSS_LANGUAGE_SUSPECT)
                 )
                 break  # i is gone; stop pairing it
             if alias.get(normalized[j]) == normalized[i]:
                 statuses[j] = ArticleStatus.DROPPED_DUPLICATE
                 decisions.append(
-                    DedupDecision(_line_of(i), (_line_of(j),), DedupRule.CROSS_LANGUAGE_SUSPECT)
+                    DedupDecision(lines[i], (lines[j],), DedupRule.CROSS_LANGUAGE_SUSPECT)
                 )
                 continue
             statuses[i] = ArticleStatus.NEEDS_REVIEW
             statuses[j] = ArticleStatus.NEEDS_REVIEW
             decisions.append(
-                DedupDecision(min(_line_of(i), _line_of(j)), (), DedupRule.CROSS_LANGUAGE_SUSPECT)
+                DedupDecision(min(lines[i], lines[j]), (), DedupRule.CROSS_LANGUAGE_SUSPECT)
             )
 
     restatused = [replace(r, status=statuses[i]) for i, r in enumerate(records)]

@@ -2,16 +2,29 @@
 
 These deliberately avoid the code paths under test: counting instead of
 sorting for the h index, scipy plus numpy for rank correlation, exhaustive
-permutation for small-sample p values.
+permutation for small-sample p values, and the original all-pairs record
+cleaning with a full Levenshtein for title deduplication.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
+from typing import Sequence
 
 import numpy as np
 from scipy.stats import rankdata
+
+from citemetric.corpus import ArticleRecord, ArticleStatus
+from citemetric.errors import MixedJournal
+from citemetric.ingest import (
+    DedupConfig,
+    DedupDecision,
+    DedupRule,
+    IngestReport,
+    normalize_title,
+)
 
 
 def brute_force_h(cites) -> int:
@@ -68,3 +81,153 @@ def equicorrelated_columns(rho_num: int = 9, rho_den: int = 10):
     h2 = [1, 1, -1, -1, 1, 1, -1, -1]
     h3 = [1, -1, -1, 1, 1, -1, -1, 1]
     return [[3 * a + b, 3 * a + c, 3 * a + d] for a, b, c, d in zip(h0, h1, h2, h3)]
+
+
+# --- record cleaning: the all-pairs scan, kept verbatim as the reference ----
+
+def levenshtein_reference(a: str, b: str) -> int:
+    if len(a) < len(b):
+        a, b = b, a
+    previous = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        current = [i]
+        for j, cb in enumerate(b, start=1):
+            current.append(
+                min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + (ca != cb))
+            )
+        previous = current
+    return previous[-1]
+
+
+def title_similarity_reference(a: str, b: str) -> float:
+    """Normalized Levenshtein similarity, 1 - distance / max-length."""
+    longest = max(len(a), len(b))
+    if longest == 0:
+        return 1.0
+    return 1.0 - levenshtein_reference(a, b) / longest
+
+
+def _line_of(index: int) -> int:
+    # records arrive in file order; the header is line 1, so data starts at 2
+    return index + 2
+
+
+def deduplicate_reference(
+    records: Sequence[ArticleRecord], config: DedupConfig
+) -> tuple[list[ArticleRecord], IngestReport]:
+    """Apply the three cleaning criteria and return restatused records plus a report.
+
+    Order matters: incomplete rows leave first, similar-title groups collapse
+    second (highest cites wins, earlier row wins ties), and cross-language
+    suspects are flagged last. All decisions are deterministic in input order.
+    """
+    ids = {r.journal_id for r in records}
+    if len(ids) > 1:
+        raise MixedJournal(f"records span journals {sorted(ids)}")
+
+    start, end = config.window
+    statuses: dict[int, ArticleStatus] = {}
+    decisions: list[DedupDecision] = []
+
+    for i, record in enumerate(records):
+        incomplete = (
+            not record.title.strip()
+            or record.year is None
+            or not (start <= record.year <= end)
+        )
+        if incomplete:
+            statuses[i] = ArticleStatus.DROPPED_INCOMPLETE
+            decisions.append(
+                DedupDecision(
+                    kept_line=_line_of(i),
+                    dropped_lines=(_line_of(i),),
+                    rule=DedupRule.INCOMPLETE_FIELDS,
+                )
+            )
+        else:
+            statuses[i] = ArticleStatus.KEPT
+
+    survivors = [i for i in range(len(records)) if statuses[i] is ArticleStatus.KEPT]
+    normalized = {i: normalize_title(records[i].title) for i in survivors}
+
+    # similar-title groups via union-find over pairs at or above the threshold
+    parent = {i: i for i in survivors}
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for pos, i in enumerate(survivors):
+        for j in survivors[pos + 1 :]:
+            if title_similarity_reference(normalized[i], normalized[j]) >= config.title_threshold:
+                parent[find(j)] = find(i)
+
+    groups: dict[int, list[int]] = {}
+    for i in survivors:
+        groups.setdefault(find(i), []).append(i)
+    for members in groups.values():
+        if len(members) < 2:
+            continue
+        winner = max(members, key=lambda i: (records[i].cites, -i))
+        dropped = [i for i in members if i != winner]
+        for i in dropped:
+            statuses[i] = ArticleStatus.DROPPED_DUPLICATE
+        decisions.append(
+            DedupDecision(
+                kept_line=_line_of(winner),
+                dropped_lines=tuple(_line_of(i) for i in dropped),
+                rule=DedupRule.SIMILAR_TITLE,
+                similarity=min(
+                    title_similarity_reference(normalized[winner], normalized[i]) for i in dropped
+                ),
+            )
+        )
+
+    # cross-language suspects: same (year, cites), no shared title words
+    alias = {normalize_title(k): normalize_title(v) for k, v in config.alias_map.items()}
+    kept = [i for i in survivors if statuses[i] is ArticleStatus.KEPT]
+    for pos, i in enumerate(kept):
+        if statuses[i] is not ArticleStatus.KEPT:
+            continue
+        for j in kept[pos + 1 :]:
+            if statuses[j] not in (ArticleStatus.KEPT, ArticleStatus.NEEDS_REVIEW):
+                continue
+            a, b = records[i], records[j]
+            if (a.year, a.cites) != (b.year, b.cites):
+                continue
+            tokens_a, tokens_b = set(normalized[i].split()), set(normalized[j].split())
+            if not tokens_a or not tokens_b or tokens_a & tokens_b:
+                continue
+            if alias.get(normalized[i]) == normalized[j]:
+                statuses[i] = ArticleStatus.DROPPED_DUPLICATE
+                decisions.append(
+                    DedupDecision(_line_of(j), (_line_of(i),), DedupRule.CROSS_LANGUAGE_SUSPECT)
+                )
+                break  # i is gone; stop pairing it
+            if alias.get(normalized[j]) == normalized[i]:
+                statuses[j] = ArticleStatus.DROPPED_DUPLICATE
+                decisions.append(
+                    DedupDecision(_line_of(i), (_line_of(j),), DedupRule.CROSS_LANGUAGE_SUSPECT)
+                )
+                continue
+            statuses[i] = ArticleStatus.NEEDS_REVIEW
+            statuses[j] = ArticleStatus.NEEDS_REVIEW
+            decisions.append(
+                DedupDecision(min(_line_of(i), _line_of(j)), (), DedupRule.CROSS_LANGUAGE_SUSPECT)
+            )
+
+    restatused = [replace(r, status=statuses[i]) for i, r in enumerate(records)]
+    counts = {status: 0 for status in ArticleStatus}
+    for status in statuses.values():
+        counts[status] += 1
+    report = IngestReport(
+        rows_read=len(records),
+        rows_kept=counts[ArticleStatus.KEPT] + counts[ArticleStatus.NEEDS_REVIEW],
+        rows_dropped_incomplete=counts[ArticleStatus.DROPPED_INCOMPLETE],
+        rows_dropped_duplicate=counts[ArticleStatus.DROPPED_DUPLICATE],
+        rows_flagged_review=counts[ArticleStatus.NEEDS_REVIEW],
+        decisions=tuple(decisions),
+    )
+    return restatused, report

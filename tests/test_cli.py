@@ -193,6 +193,34 @@ def test_run_config_validation():
     assert RunConfig().alpha == 0.05
 
 
+@pytest.mark.parametrize("threshold", ["1.5", "0", "-0.1", "nan", "inf", "high"])
+def test_bad_title_threshold_exits_with_usage_error(tmp_path, threshold, capsys):
+    out = tmp_path / "corpus.json"
+    with pytest.raises(SystemExit) as info:
+        main(
+            [
+                "ingest",
+                "--registry",
+                str(tmp_path / "registry.csv"),
+                "--records-dir",
+                str(tmp_path),
+                f"--title-threshold={threshold}",
+                "--out",
+                str(out),
+            ]
+        )
+    assert info.value.code == 2
+    assert "--title-threshold" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_title_threshold_of_one_is_accepted(tmp_path):
+    registry, records = write_fixture_tree(tmp_path)
+    out = tmp_path / "corpus.json"
+    args = ["ingest", "--registry", str(registry), "--records-dir", str(records)]
+    assert main(args + ["--title-threshold", "1", "--out", str(out)]) == 0
+
+
 def test_parse_window():
     assert _parse_window("2003:2007") == (2003, 2007)
     with pytest.raises(DomainError):

@@ -1,18 +1,24 @@
+import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from citemetric.corpus import ArticleRecord, ArticleStatus
-from citemetric.errors import MixedJournal
+from citemetric.errors import DomainError, MixedJournal
 from citemetric.ingest import (
+    EXPORT_HEADER,
     DedupConfig,
     DedupRule,
+    _banded_levenshtein,
+    _edit_budget,
     deduplicate,
     levenshtein,
     normalize_title,
+    parse_citation_export,
     title_similarity,
 )
+from oracles import deduplicate_reference
 
 CONFIG = DedupConfig(window=(2003, 2007))
 
@@ -181,3 +187,186 @@ def test_normalize_title_is_idempotent(text):
 @given(st.text(alphabet="aáeéiíoóuúnÑ .,;", max_size=40))
 def test_normalize_title_is_case_and_accent_insensitive(text):
     assert normalize_title(text.upper()) == normalize_title(text.lower())
+
+
+# --- equivalence with the all-pairs reference --------------------------------
+
+# normalized lengths 25, 50, 75 and 100 sit where a budget of floor((1 - 0.92) * L)
+# is one edit too strict; the last three bases share no words with each other
+# or with the first, so cross-language suspects arise
+BASE_TITLES = (
+    "efecto del clima en cafes",
+    "estudio de la fauna de los paramos andinos del sur",
+    "analisis de la produccion cientifica nacional en revistas indexadas de ayer",
+    "evaluacion del cultivo de arroz en la cuenca alta del rio magdalena durante "
+    "la temporadas seca anual",
+    "climate change and coffee yields",
+    "soil microbes under drought",
+    "urban heat islands",
+)
+EDIT_ALPHABET = "abcdeilmnorsz áéíñ.,-"
+PUNCTUATION_ONLY = ("...", "¡!", " - ", "¿?", "")
+
+
+def test_base_titles_have_the_boundary_lengths():
+    lengths = [len(normalize_title(t)) for t in BASE_TITLES[:4]]
+    assert lengths == [25, 50, 75, 100]
+
+
+def _substituted(title, positions):
+    chars = list(title)
+    for pos in positions:
+        chars[pos] = "x" if chars[pos] != "x" else "y"
+    return "".join(chars)
+
+
+@st.composite
+def _variant(draw, source):
+    """source with 0-4 single-character edits, sometimes as a case, accent or punctuation twin."""
+    chars = list(source)
+    for _ in range(draw(st.integers(0, 4))):
+        edit = draw(st.sampled_from(["substitute", "substitute", "insert", "delete"]))
+        pos = draw(st.integers(0, max(len(chars) - 1, 0)))
+        if edit == "insert" or not chars:
+            chars.insert(pos, draw(st.sampled_from(EDIT_ALPHABET)))
+        elif edit == "delete":
+            del chars[pos]
+        else:
+            chars[pos] = draw(st.sampled_from(EDIT_ALPHABET))
+    title = "".join(chars)
+    twin = draw(st.sampled_from(["none", "none", "upper", "accent", "punctuation"]))
+    if twin == "upper":
+        title = title.upper()
+    elif twin == "accent":
+        title = title.replace("e", "é").replace("a", "á")
+    elif twin == "punctuation":
+        title = title.replace(" ", ", ", 1) + "."
+    return title
+
+
+def _budget(length, threshold):
+    """Largest distance the threshold allows, straight from its definition."""
+    return max(d for d in range(length + 1) if 1.0 - d / length >= threshold)
+
+
+@pytest.mark.parametrize("threshold", [0.3, 0.5, 0.8, 0.9, 0.92, 0.96, 1.0])
+def test_edit_budget_is_the_largest_distance_the_threshold_allows(threshold):
+    assert _edit_budget(0, threshold) == 0
+    for length in range(1, 301):
+        assert _edit_budget(length, threshold) == _budget(length, threshold)
+
+
+@given(st.text(alphabet="abc ", max_size=14), st.text(alphabet="abc ", max_size=14), st.integers(0, 6))
+def test_banded_levenshtein_is_exact_within_its_band(a, b, k):
+    distance = levenshtein(a, b)
+    banded = _banded_levenshtein(a, b, k)
+    if distance <= k:
+        assert banded == distance
+    else:
+        assert banded > k
+
+
+@st.composite
+def _boundary_twin(draw, base, threshold):
+    """base with budget - 1, budget or budget + 1 substitutions at distinct positions."""
+    count = _budget(len(base), threshold) + draw(st.sampled_from([-1, 0, 0, 1]))
+    count = min(max(count, 0), len(base))
+    positions = st.integers(0, len(base) - 1)
+    return _substituted(base, draw(st.lists(positions, min_size=count, max_size=count, unique=True)))
+
+
+@st.composite
+def _dedup_cases(draw):
+    # a few bases per case, and variants of earlier variants, so near-duplicate
+    # groups, chains of pairs and shared (year, cites) buckets are common
+    threshold = draw(st.sampled_from([0.5, 0.8, 0.9, 0.92, 0.96, 1.0]))
+    bases = draw(st.lists(st.sampled_from(BASE_TITLES), min_size=1, max_size=3, unique=True))
+    titles = list(bases)  # the bases are rows too, so boundary twins meet their base
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["punctuation", "boundary", "boundary", "variant", "variant"]))
+        if kind == "punctuation":
+            titles.append(draw(st.sampled_from(PUNCTUATION_ONLY)))
+        elif kind == "boundary":
+            titles.append(draw(_boundary_twin(draw(st.sampled_from(bases)), threshold)))
+        else:
+            titles.append(draw(_variant(draw(st.sampled_from(titles)))))
+    titles = draw(st.permutations(titles))
+    records = [
+        _record(
+            title,
+            cites=draw(st.sampled_from([0, 0, 0, 1])),
+            year=draw(st.sampled_from([2005, 2005, 2005, 2005, 2006, None, 2009])),
+        )
+        for title in titles
+    ]
+    alias_map = {}
+    if records and draw(st.booleans()):
+        titles = [r.title for r in records]
+        pairs = draw(st.lists(st.tuples(st.sampled_from(titles), st.sampled_from(titles)), max_size=3))
+        alias_map = dict(pairs)
+    return records, DedupConfig(window=(2003, 2007), title_threshold=threshold, alias_map=alias_map)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_dedup_cases())
+def test_dedup_matches_the_all_pairs_reference(case):
+    records, config = case
+    cleaned, report = deduplicate(records, config)
+    expected_cleaned, expected_report = deduplicate_reference(records, config)
+    assert [r.status for r in cleaned] == [r.status for r in expected_cleaned]
+    assert report == expected_report  # counts, decision order and similarity floats
+
+
+@pytest.mark.parametrize("title, budget", [(BASE_TITLES[0], 2), (BASE_TITLES[3], 8)])
+def test_similarity_boundary_collapses_at_the_exact_budget(title, budget):
+    # 1 - 2/25 and 1 - 8/100 reach 0.92, where floor((1 - 0.92) * L) allows one edit less
+    for distance, collapses in ((budget, True), (budget + 1, False)):
+        twin = _substituted(title, range(0, 2 * distance, 2))
+        assert levenshtein(title, twin) == distance
+        records = [_record(title, cites=5), _record(twin, cites=1)]
+        cleaned, report = deduplicate(records, CONFIG)
+        dropped = cleaned[1].status is ArticleStatus.DROPPED_DUPLICATE
+        assert dropped is collapses
+        assert report == deduplicate_reference(records, CONFIG)[1]
+
+
+def test_chained_group_reports_the_full_winner_distance():
+    a = BASE_TITLES[0]
+    b = _substituted(a, (0, 4))
+    c = _substituted(b, (8, 12))
+    assert title_similarity(a, b) >= 0.92 and title_similarity(b, c) >= 0.92
+    assert title_similarity(a, c) < 0.92
+    records = [_record(a, cites=9), _record(b, cites=1), _record(c, cites=2)]
+    cleaned, report = deduplicate(records, CONFIG)
+    assert [r.status for r in cleaned] == [
+        ArticleStatus.KEPT,
+        ArticleStatus.DROPPED_DUPLICATE,
+        ArticleStatus.DROPPED_DUPLICATE,
+    ]
+    (decision,) = report.decisions
+    assert decision.similarity == 1.0 - 4 / 25
+    assert decision.similarity == deduplicate_reference(records, CONFIG)[1].decisions[0].similarity
+
+
+def test_decision_lines_follow_the_export_past_blank_lines():
+    content = (
+        EXPORT_HEADER
+        + "\n3,,Efecto del clima,2005,,,"
+        + "\n"  # blank line 3
+        + "\n5,,Suelos del paramo,2005,,,"
+        + "\n2,,Suelos del páramo.,2005,,,"
+        + "\n1,,Sin fecha,,,,\n"
+    )
+    records = parse_citation_export(content, "j1")
+    assert [r.line_number for r in records] == [2, 4, 5, 6]
+    assert records[0] == _record("Efecto del clima", cites=3)  # equality ignores the line
+    _, report = deduplicate(records, CONFIG)
+    incomplete, similar = report.decisions
+    assert incomplete.dropped_lines == (6,)
+    assert (similar.kept_line, similar.dropped_lines) == (4, (5,))
+
+
+@pytest.mark.parametrize("threshold", [0.0, -0.5, 1.5, math.nan, math.inf])
+def test_dedup_config_rejects_threshold_outside_unit_interval(threshold):
+    with pytest.raises(DomainError):
+        DedupConfig(title_threshold=threshold)
