@@ -152,9 +152,9 @@ def compare_groups(
         if len(value_groups) < 2:
             raise NoGroups(f"variable {name!r} is defined in fewer than two groups")
         if method == "anova":
-            tests[name] = anova_oneway(value_groups, alpha)[0]
+            tests[name] = anova_oneway(value_groups)[0]
         else:
-            tests[name] = kruskal_wallis(value_groups, alpha)
+            tests[name] = kruskal_wallis(value_groups)
         letters[name] = tukey_groups(value_groups, alpha, labels)
 
     return ComparisonTable(

@@ -12,32 +12,13 @@ import argparse
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
 from . import analysis, classify, indicators, ingest
-from .corpus import Area, DEFAULT_WINDOW, filter_by_area
+from .corpus import Area, filter_by_area
 from .errors import CitemetricError, DomainError
 from .ingest import DedupConfig
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    window: Tuple[int, int] = DEFAULT_WINDOW
-    alpha: float = 0.05
-    title_threshold: float = 0.92
-    area_mean_mode: str = "ratios"
-    quartile_mode: str = "empirical"
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not 0.0 < self.title_threshold <= 1.0:
-            raise DomainError(f"title threshold must lie in (0, 1], got {self.title_threshold}")
-        if self.window[0] > self.window[1]:
-            raise DomainError(f"window start exceeds end: {self.window}")
-
 
 _AREAS = {"ciencias": Area.CIENCIAS, "sociales": Area.CIENCIAS_SOCIALES}
 _MEAN_MODES = {"ratios": "ratios", "pooled": "pooled"}
@@ -54,14 +35,34 @@ def _parse_window(text: str) -> Tuple[int, int]:
     return window
 
 
-def _title_threshold(text: str) -> float:
-    """argparse type for --title-threshold: a number in (0, 1]; NaN is refused."""
+def _number(text: str, kind=float):
     try:
-        value = float(text)
+        return kind(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+
+
+def _title_threshold(text: str) -> float:
+    """argparse type for --title-threshold: a number in (0, 1]; NaN is refused."""
+    value = _number(text)
     if not 0.0 < value <= 1.0:
         raise argparse.ArgumentTypeError(f"must lie in (0, 1], got {text!r}")
+    return value
+
+
+def _alpha(text: str) -> float:
+    """argparse type for --alpha: a number in (0, 1); NaN is refused."""
+    value = _number(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text!r}")
+    return value
+
+
+def _top(text: str) -> int:
+    """argparse type for --top: a whole number of leading quartiles, at least 1."""
+    value = _number(text, int)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
     return value
 
 
@@ -114,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--area", required=True, choices=sorted(_AREAS))
     p.add_argument("--by", required=True, choices=["library", "category"])
     p.add_argument("--method", default="anova", choices=["anova", "kw"])
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=_alpha, default=0.05)
     p.add_argument("--vars", default=",".join(analysis.DEFAULT_COMPARE_VARIABLES))
     p.add_argument("--out", required=True)
 
@@ -122,7 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--area", required=True, choices=sorted(_AREAS))
     p.add_argument("--vars", required=True)
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=_alpha, default=0.05)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("factor", help="citation indicator factor analysis")
@@ -141,7 +142,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--area", choices=sorted(_AREAS))
     p.add_argument("--quartile-mode", default="empirical", choices=["empirical", "fixed"])
     p.add_argument("--area-mean", default="ratios", choices=sorted(_MEAN_MODES))
-    p.add_argument("--top", type=int)
+    p.add_argument("--top", type=_top)
     p.add_argument("--format", default="csv", choices=["csv", "json", "md"])
     p.add_argument("--out", required=True)
 
@@ -149,13 +150,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_ingest(args) -> None:
-    config = RunConfig(window=_parse_window(args.window), title_threshold=args.title_threshold)
+    window = _parse_window(args.window)
     journals, totals = ingest.parse_registry(_read_bytes(args.registry))
     alias_map = ingest.parse_alias_file(_read_bytes(args.alias)) if args.alias else {}
     dedup_config = DedupConfig(
-        window=config.window,
-        title_threshold=config.title_threshold,
-        alias_map=alias_map,
+        window=window, title_threshold=args.title_threshold, alias_map=alias_map
     )
 
     records_dir = Path(args.records_dir)
@@ -167,7 +166,7 @@ def _run_ingest(args) -> None:
         records = ingest.parse_citation_export(_read_bytes(str(path)), journal_id)
         cleaned, _report = ingest.deduplicate(records, dedup_config)
         records_by_journal[journal_id] = cleaned
-    corpus = ingest.build_corpus(journals, totals, records_by_journal, config.window)
+    corpus = ingest.build_corpus(journals, totals, records_by_journal, window)
     _write_atomic(args.out, ingest.corpus_to_json(corpus).encode("utf-8"))
 
 

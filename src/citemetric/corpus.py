@@ -81,16 +81,6 @@ class JournalCorpus:
     def journal_ids(self) -> Tuple[str, ...]:
         return tuple(j.journal_id for j in self.journals)
 
-    def articles_for(self, journal_id: str) -> Tuple[ArticleRecord, ...]:
-        return tuple(a for a in self.articles if a.journal_id == journal_id)
-
-    def visible_articles_for(self, journal_id: str) -> Tuple[ArticleRecord, ...]:
-        return tuple(
-            a
-            for a in self.articles
-            if a.journal_id == journal_id and a.status in VISIBLE_STATUSES
-        )
-
 
 def validate_corpus(corpus: JournalCorpus) -> list[str]:
     """Check every type invariant; return one description per violation.

@@ -12,9 +12,16 @@ import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence, Tuple
 
-from .corpus import Area, ArticleRecord, IbnpCategory, JournalCorpus, JournalRecord, Library
+from .corpus import (
+    VISIBLE_STATUSES,
+    Area,
+    ArticleRecord,
+    IbnpCategory,
+    JournalCorpus,
+    JournalRecord,
+    Library,
+)
 from .errors import DomainError, EmptyArea, EmptyGroup, ZeroAreaMean
-from .statkit import compensated_sum
 
 INDICATOR_CSV_HEADER = (
     "journal_id,title,area,category,air_ibnp,air_ga,ratio_ba,cr_ga,ca_mean,"
@@ -149,7 +156,7 @@ def area_mean_citation(
     if not qualifying:
         raise EmptyArea("no journal with registry production")
     if mode == "ratios":
-        value = compensated_sum(s.ca_mean for s in qualifying) / len(qualifying)
+        value = math.fsum(s.ca_mean for s in qualifying) / len(qualifying)
     elif mode == "pooled":
         value = sum(s.cr_ga for s in qualifying) / sum(s.air_ibnp for s in qualifying)
     else:
@@ -174,10 +181,10 @@ def cpn(indicator_set: IndicatorSet, area: AreaStats) -> float:
 def _mean_sd(values: Sequence[float]) -> tuple[Optional[float], Optional[float]]:
     if not values:
         return None, None
-    mean = compensated_sum(values) / len(values)
+    mean = math.fsum(values) / len(values)
     if len(values) < 2:
         return mean, None
-    variance = compensated_sum((v - mean) ** 2 for v in values) / (len(values) - 1)
+    variance = math.fsum((v - mean) ** 2 for v in values) / (len(values) - 1)
     return mean, math.sqrt(max(variance, 0.0))
 
 
@@ -206,7 +213,7 @@ def summarize_group(sets: Sequence[IndicatorSet], label: str) -> GroupSummary:
         mean_ratio_ba=mean_ratio,
         sd_ratio_ba=sd_ratio,
         mean_log10_air=mean_log_air,
-        mean_pi_ld=compensated_sum(float(s.pi_ld) for s in sets) / len(sets),
+        mean_pi_ld=math.fsum(float(s.pi_ld) for s in sets) / len(sets),
     )
 
 
@@ -221,11 +228,15 @@ def corpus_indicator_sets(
     rate or for areas where no journal qualifies.
     """
     h_sc_by_journal = h_sc_by_journal or {}
+    visible: dict[str, list[ArticleRecord]] = {}
+    for article in corpus.articles:
+        if article.status in VISIBLE_STATUSES:
+            visible.setdefault(article.journal_id, []).append(article)
     pairs: list[Tuple[JournalRecord, IndicatorSet]] = []
     for journal in corpus.journals:
         indicator = compute_indicator_set(
             journal,
-            corpus.visible_articles_for(journal.journal_id),
+            visible.get(journal.journal_id, ()),
             corpus.ibnp_totals[journal.journal_id],
             h_sc=h_sc_by_journal.get(journal.journal_id),
         )

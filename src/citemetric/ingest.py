@@ -104,20 +104,24 @@ def _read_rows(content, expected_header: str) -> list[RawRow]:
     """Parse CSV content into rows, enforcing the exact header and cell counts."""
     text = _decode(content)
     reader = csv.reader(io.StringIO(text, newline=""))
-    rows = list(reader)
-    if not rows:
+    header_cells = next(reader, None)
+    if header_cells is None:
         raise MalformedHeader(expected_header, "")
-    header = ",".join(cell.strip() for cell in rows[0])
+    header = ",".join(cell.strip() for cell in header_cells)
     if header != expected_header:
         raise MalformedHeader(expected_header, header)
-    width = len(rows[0])
+    width = len(header_cells)
     out = []
-    for offset, cells in enumerate(rows[1:], start=2):
+    # a quoted cell may span lines, so a record starts one past the line the
+    # reader had reached after the record before it
+    line_number = reader.line_num + 1
+    for cells in reader:
+        start, line_number = line_number, reader.line_num + 1
         if not cells:
             continue  # blank trailing line
         if len(cells) != width:
-            raise BadCell(offset, "*", f"expected {width} cells, found {len(cells)}")
-        out.append(RawRow(line_number=offset, fields=tuple(cells)))
+            raise BadCell(start, "*", f"expected {width} cells, found {len(cells)}")
+        out.append(RawRow(line_number=start, fields=tuple(cells)))
     return out
 
 

@@ -3,9 +3,9 @@
 Mid-ranks, rank correlation, tail probabilities from first principles
 (continued fractions and series), least squares with sequential sums of
 squares, one-way tests, post-hoc letter displays, and unrotated principal
-components over a correlation matrix. Everything is pure and deterministic;
-accumulations use compensated summation so results do not depend on input
-order beyond 1e-12.
+components over a correlation matrix (``numpy.linalg.eigh``). Everything is
+pure and deterministic; accumulations use ``math.fsum``, which is correctly
+rounded, so sums do not depend on input order at all.
 """
 
 from __future__ import annotations
@@ -85,33 +85,18 @@ class HomogeneousGroups:
     letters: Tuple[str, ...]  # per group, ascending letter string
 
 
-# --- compensated accumulation ----------------------------------------------
-
-
-def compensated_sum(values) -> float:
-    """Neumaier summation; order-independent to well below 1e-12."""
-    total = 0.0
-    comp = 0.0
-    for value in values:
-        v = float(value)
-        t = total + v
-        if abs(total) >= abs(v):
-            comp += (total - t) + v
-        else:
-            comp += (v - t) + total
-        total = t
-    return total + comp
+# --- accumulation -----------------------------------------------------------
 
 
 def _mean(values: Sequence[float]) -> float:
-    return compensated_sum(values) / len(values)
+    return math.fsum(values) / len(values)
 
 
 def _pearson(x: Sequence[float], y: Sequence[float]) -> float:
     mx, my = _mean(x), _mean(y)
-    sxy = compensated_sum((a - mx) * (b - my) for a, b in zip(x, y))
-    sxx = compensated_sum((a - mx) ** 2 for a in x)
-    syy = compensated_sum((b - my) ** 2 for b in y)
+    sxy = math.fsum((a - mx) * (b - my) for a, b in zip(x, y))
+    sxx = math.fsum((a - mx) ** 2 for a in x)
+    syy = math.fsum((b - my) ** 2 for b in y)
     if sxx <= 0.0 or syy <= 0.0:
         raise DegenerateInput("constant input leaves the correlation undefined")
     return sxy / math.sqrt(sxx * syy)
@@ -281,18 +266,6 @@ def chi_square_tail(x: float, df: float) -> float:
     return regularized_gamma_upper(df / 2.0, x / 2.0)
 
 
-def tail_probability(dist: Tuple, x: float) -> float:
-    """Upper-tail probability; dist is ("t", df), ("f", df1, df2) or ("chisq", df)."""
-    kind = dist[0]
-    if kind == "t":
-        return student_t_tail(x, dist[1])
-    if kind == "f":
-        return f_tail(x, dist[1], dist[2])
-    if kind == "chisq":
-        return chi_square_tail(x, dist[1])
-    raise DomainError(f"unknown distribution {kind!r}")
-
-
 # --- correlation ------------------------------------------------------------
 
 
@@ -345,9 +318,9 @@ def ols_fit(y: Sequence[float], predictors: Sequence[Sequence[float]]) -> Regres
     beta = np.linalg.solve(r, z)
 
     residuals = yv - design @ beta
-    rss = compensated_sum(v * v for v in residuals)
+    rss = math.fsum(v * v for v in residuals)
     ybar = _mean(yv)
-    tss = compensated_sum((v - ybar) ** 2 for v in yv)
+    tss = math.fsum((v - ybar) ** 2 for v in yv)
     # the j-th orthogonal direction carries exactly the SS gained by column j
     sequential = tuple(float(z[j] ** 2) for j in range(1, p + 1))
 
@@ -375,9 +348,9 @@ def ols_fit(y: Sequence[float], predictors: Sequence[Sequence[float]]) -> Regres
             others = np.column_stack([np.ones(n)] + [cols[i] for i in range(p) if i != j])
             coef, *_ = np.linalg.lstsq(others, cols[j], rcond=None)
             res_j = cols[j] - others @ coef
-            rss_j = compensated_sum(v * v for v in res_j)
+            rss_j = math.fsum(v * v for v in res_j)
             mean_j = _mean(cols[j])
-            tss_j = compensated_sum((v - mean_j) ** 2 for v in cols[j])
+            tss_j = math.fsum((v - mean_j) ** 2 for v in cols[j])
             r2_j = 0.0 if tss_j <= 0.0 else max(0.0, 1.0 - rss_j / tss_j)
             vif_values.append(1.0 / (1.0 - r2_j) if r2_j < 1.0 else math.inf)
         vif = tuple(vif_values)
@@ -409,18 +382,14 @@ def _check_groups(groups: Sequence[Sequence[float]]) -> int:
     return n
 
 
-def anova_oneway(
-    groups: Sequence[Sequence[float]], alpha: float = 0.05
-) -> tuple[TestResult, list[float]]:
+def anova_oneway(groups: Sequence[Sequence[float]]) -> tuple[TestResult, list[float]]:
     """Classic one-way decomposition; returns the F test and per-group means."""
     n = _check_groups(groups)
     k = len(groups)
     means = [_mean(g) for g in groups]
-    grand = compensated_sum(compensated_sum(g) for g in groups) / n
-    ssb = compensated_sum(len(g) * (m - grand) ** 2 for g, m in zip(groups, means))
-    ssw = compensated_sum(
-        compensated_sum((v - m) ** 2 for v in g) for g, m in zip(groups, means)
-    )
+    grand = math.fsum(math.fsum(g) for g in groups) / n
+    ssb = math.fsum(len(g) * (m - grand) ** 2 for g, m in zip(groups, means))
+    ssw = math.fsum(math.fsum((v - m) ** 2 for v in g) for g, m in zip(groups, means))
     df1, df2 = k - 1, n - k
     if ssb <= 0.0:
         f_stat, p = 0.0, 1.0
@@ -435,7 +404,7 @@ def anova_oneway(
     return result, means
 
 
-def kruskal_wallis(groups: Sequence[Sequence[float]], alpha: float = 0.05) -> TestResult:
+def kruskal_wallis(groups: Sequence[Sequence[float]]) -> TestResult:
     """Rank-based one-way test with midrank tie correction."""
     n = _check_groups(groups)  # two or more groups forces n >= 3
     k = len(groups)
@@ -444,7 +413,7 @@ def kruskal_wallis(groups: Sequence[Sequence[float]], alpha: float = 0.05) -> Te
     h = 0.0
     offset = 0
     for g in groups:
-        r_sum = compensated_sum(ranks[offset : offset + len(g)])
+        r_sum = math.fsum(ranks[offset : offset + len(g)])
         h += r_sum * r_sum / len(g)
         offset += len(g)
     h = 12.0 / (n * (n + 1)) * h - 3.0 * (n + 1)
@@ -540,9 +509,7 @@ def tukey_groups(
     elif len(labels) != k:
         raise LengthMismatch("one label per group required")
     means = [_mean(g) for g in groups]
-    ssw = compensated_sum(
-        compensated_sum((v - m) ** 2 for v in g) for g, m in zip(groups, means)
-    )
+    ssw = math.fsum(math.fsum((v - m) ** 2 for v in g) for g, m in zip(groups, means))
     df_within = n - k
     msw = ssw / df_within
     q = studentized_range_q(k, df_within, alpha)
@@ -566,33 +533,6 @@ def tukey_groups(
 # --- principal components ---------------------------------------------------
 
 
-def _jacobi_eigh(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
-    a = matrix.astype(float).copy()
-    size = a.shape[0]
-    vectors = np.eye(size)
-    for _ in range(max_sweeps):
-        off = math.sqrt(max(float(np.sum(a * a) - np.sum(np.diag(a) ** 2)), 0.0))
-        if off < tol:
-            return np.diag(a).copy(), vectors
-        for p in range(size - 1):
-            for q in range(p + 1, size):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rotation = np.eye(size)
-                rotation[p, p] = c
-                rotation[q, q] = c
-                rotation[p, q] = s
-                rotation[q, p] = -s
-                a = rotation.T @ a @ rotation
-                vectors = vectors @ rotation
-    raise NonConvergence("Jacobi sweeps did not reduce the off-diagonal norm")
-
-
 def pca_unrotated(data) -> FactorResult:
     """Principal components of the Pearson correlation matrix, no rotation."""
     array = np.asarray(data, dtype=float)
@@ -613,7 +553,7 @@ def pca_unrotated(data) -> FactorResult:
         for j in range(i + 1, p):
             corr[i, j] = corr[j, i] = _pearson(columns[i], columns[j])
 
-    eigenvalues, vectors = _jacobi_eigh(corr)
+    eigenvalues, vectors = np.linalg.eigh(corr)
     order = sorted(range(p), key=lambda i: -eigenvalues[i])
     eigenvalues = [float(eigenvalues[i]) for i in order]
     first = vectors[:, order[0]]

@@ -3,7 +3,7 @@ import pathlib
 
 import pytest
 
-from citemetric.cli import RunConfig, _parse_window, main
+from citemetric.cli import _parse_window, main
 from citemetric.errors import DomainError
 from fixture_corpus import write_fixture_tree
 
@@ -181,16 +181,21 @@ def test_bad_window_is_a_data_error(tmp_path, capsys):
     assert "window" in capsys.readouterr().err
 
 
-def test_run_config_validation():
-    with pytest.raises(DomainError):
-        RunConfig(alpha=0.0)
-    with pytest.raises(DomainError):
-        RunConfig(alpha=1.0)
-    with pytest.raises(DomainError):
-        RunConfig(title_threshold=0.0)
-    with pytest.raises(DomainError):
-        RunConfig(window=(2007, 2003))
-    assert RunConfig().alpha == 0.05
+def test_alpha_and_top_out_of_range_exit_with_usage_error(tmp_path, capsys):
+    corpus = ["--corpus", str(BUNDLED_CORPUS), "--area", "ciencias"]
+    correlate = ["correlate", *corpus, "--vars", "h,pi_ld"]
+    cases = [(correlate, "--alpha", v) for v in ("1.5", "0", "1", "-0.1", "nan", "inf", "x")]
+    cases += [(["compare", *corpus, "--by", "category"], "--alpha", "1.5")]
+    cases += [(["classify", *corpus], "--top", v) for v in ("-1", "0", "2.5", "x")]
+    out = tmp_path / "out"
+    for command, flag, value in cases:
+        with pytest.raises(SystemExit) as info:
+            main(command + [f"{flag}={value}", "--out", str(out)])
+        assert info.value.code == 2, (command[0], flag, value)
+        assert flag in capsys.readouterr().err
+    assert not out.exists()
+    assert main(correlate + ["--alpha", "0.01", "--out", str(out)]) == 0
+    assert main(["classify", *corpus, "--top", "1", "--out", str(out)]) == 0
 
 
 @pytest.mark.parametrize("threshold", ["1.5", "0", "-0.1", "nan", "inf", "high"])

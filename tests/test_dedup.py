@@ -366,6 +366,21 @@ def test_decision_lines_follow_the_export_past_blank_lines():
     assert (similar.kept_line, similar.dropped_lines) == (4, (5,))
 
 
+def test_decision_lines_follow_the_export_past_a_multi_line_cell():
+    content = (
+        EXPORT_HEADER
+        + '\n3,"Smith,\nJ",Efecto del clima,2005,,,'  # one record on lines 2-3
+        + "\n5,,Suelos del paramo,2005,,,"
+        + "\n2,,Suelos del páramo.,2005,,,\n"
+    )
+    records = parse_citation_export(content, "j1")
+    assert [r.line_number for r in records] == [2, 4, 5]
+    assert records[0].authors == "Smith,\nJ"
+    _, report = deduplicate(records, CONFIG)
+    (similar,) = report.decisions
+    assert (similar.kept_line, similar.dropped_lines) == (4, (5,))
+
+
 @pytest.mark.parametrize("threshold", [0.0, -0.5, 1.5, math.nan, math.inf])
 def test_dedup_config_rejects_threshold_outside_unit_interval(threshold):
     with pytest.raises(DomainError):

@@ -1,16 +1,26 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
-from citemetric.corpus import Area, ArticleRecord, IbnpCategory, JournalRecord, Library
+from citemetric.corpus import (
+    VISIBLE_STATUSES,
+    Area,
+    ArticleRecord,
+    ArticleStatus,
+    IbnpCategory,
+    JournalRecord,
+    Library,
+)
 from citemetric.errors import DomainError, EmptyArea, EmptyGroup, ZeroAreaMean
 from citemetric.indicators import (
     INDICATOR_CSV_HEADER,
     IndicatorSet,
     area_mean_citation,
     compute_indicator_set,
+    corpus_indicator_sets,
     cpn,
     h_index,
     indicators_csv,
@@ -19,6 +29,7 @@ from citemetric.indicators import (
     pi_ld,
     summarize_group,
 )
+from fixture_corpus import build_fixture_corpus
 from oracles import brute_force_h
 
 
@@ -288,6 +299,52 @@ def test_summarize_group_single_journal_has_undefined_sds():
 def test_summarize_group_empty_is_an_error():
     with pytest.raises(EmptyGroup):
         summarize_group([], "C")
+
+
+def test_summarize_group_is_bit_identical_under_shuffled_input():
+    rng = random.Random(23)
+    sets = [
+        _set(
+            journal_id=f"j{i}",
+            cr_ga=rng.randint(0, 10**6),
+            ca_mean=rng.uniform(0, 1e4) * 10.0 ** rng.randint(-8, 0),
+            visibility_ratio=rng.uniform(0, 1) * 10.0 ** rng.randint(-8, 0),
+            air_ibnp=rng.randint(1, 10**5),
+            pi_ld=rng.randint(0, 221),
+        )
+        for i in range(300)
+    ]
+    summary = summarize_group(sets, "A1")
+    for _ in range(5):
+        rng.shuffle(sets)
+        assert summarize_group(sets, "A1") == summary
+
+
+# --- corpus pass -----------------------------------------------------------------
+
+
+def test_corpus_indicator_sets_match_a_per_journal_scan():
+    corpus = build_fixture_corpus()
+    articles = [
+        replace(a, status=ArticleStatus.NEEDS_REVIEW) if i % 7 == 0 else a
+        for i, a in enumerate(corpus.articles)
+    ]
+    random.Random(11).shuffle(articles)
+    corpus = replace(corpus, articles=tuple(articles))
+
+    expected = []
+    for journal in corpus.journals:
+        visible = [
+            a
+            for a in corpus.articles
+            if a.journal_id == journal.journal_id and a.status in VISIBLE_STATUSES
+        ]
+        total = corpus.ibnp_totals[journal.journal_id]
+        expected.append((journal, compute_indicator_set(journal, visible, total)))
+    areas = {journal.area for journal, _ in expected}
+    stats = {a: area_mean_citation([s for j, s in expected if j.area is a]) for a in areas}
+    expected = [(j, replace(s, cpn=cpn(s, stats[j.area]))) for j, s in expected]
+    assert corpus_indicator_sets(corpus) == expected
 
 
 # --- CSV rendering ---------------------------------------------------------------

@@ -122,6 +122,13 @@ def test_parse_alias_file_normalizes_both_sides():
     assert aliases == {"climate effect": "efecto del clima"}
 
 
+def test_bad_cell_after_a_multi_line_cell_names_its_physical_line():
+    content = EXPORT_HEADER + '\n3,"Smith,\nJ",Efecto,2005,,,\nmany,,Suelos,2005,,,\n'
+    with pytest.raises(BadCell) as info:
+        parse_citation_export(content, "j1")
+    assert info.value.line == 4
+
+
 def test_build_corpus_rejects_unknown_journal():
     journals, totals = parse_registry(REGISTRY_HEADER + "\nj1,Revista,Ciencias,B,10,0,0,0,0,1\n")
     records = parse_citation_export(EXPORT_HEADER + "\n1,,Nota,2004,,,\n", "zz")
@@ -133,7 +140,6 @@ def test_build_corpus_empty_records_is_valid():
     journals, totals = parse_registry(REGISTRY_HEADER + "\nj1,Revista,Ciencias,B,10,0,0,0,0,1\n")
     corpus = build_corpus(journals, totals, {}, (2003, 2007))
     assert validate_corpus(corpus) == []
-    assert corpus.visible_articles_for("j1") == ()
 
 
 def test_corpus_json_round_trip():

@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.stats import studentized_range
 
 from citemetric.errors import (
@@ -19,7 +19,6 @@ from citemetric.statkit import (
     StatMethod,
     anova_oneway,
     chi_square_tail,
-    compensated_sum,
     f_tail,
     kruskal_wallis,
     mid_ranks,
@@ -28,7 +27,6 @@ from citemetric.statkit import (
     spearman,
     student_t_tail,
     studentized_range_q,
-    tail_probability,
     tukey_groups,
 )
 from oracles import anova_f_reference, equicorrelated_columns, spearman_r_reference
@@ -52,19 +50,25 @@ def test_mid_ranks_all_tied():
 @given(st.lists(st.integers(min_value=-20, max_value=20), min_size=1, max_size=200))
 def test_mid_ranks_sum_is_exact(values):
     n = len(values)
-    assert compensated_sum(mid_ranks(values)) == n * (n + 1) / 2
+    assert math.fsum(mid_ranks(values)) == n * (n + 1) / 2
 
 
-# --- compensated summation -----------------------------------------------------
+# --- order independence ----------------------------------------------------------
 
 
-def test_compensated_sum_is_order_independent():
+def test_anova_is_bit_identical_under_shuffled_input():
     rng = random.Random(5)
-    values = [rng.uniform(-1e9, 1e9) for _ in range(500)] + [1e-9] * 100
-    total = compensated_sum(values)
+    groups = []
+    for _ in range(3):
+        # wide magnitudes that cancel down to one value: order-dependent for
+        # anything short of a correctly rounded sum
+        xs = [rng.gauss(0, 1) * 2.0 ** rng.randint(-30, 60) for _ in range(100)]
+        groups.append(xs + [-x for x in xs[:-1]])
+    result, means = anova_oneway(groups)
     for _ in range(5):
-        rng.shuffle(values)
-        assert abs(compensated_sum(values) - total) < 1e-12 * max(1.0, abs(total))
+        for group in groups:
+            rng.shuffle(group)
+        assert anova_oneway(groups) == (result, means)
 
 
 # --- spearman -------------------------------------------------------------------
@@ -131,24 +135,24 @@ def test_f_tail_equals_two_sided_t():
             )
 
 
-def test_tail_probability_dispatch_and_edges():
-    assert tail_probability(("chisq", 3), 0.0) == 1.0
-    assert tail_probability(("f", 2, 7), 0.0) == 1.0
-    assert tail_probability(("t", 9), 0.0) == pytest.approx(0.5)
-    with pytest.raises(DomainError):
-        tail_probability(("t", -1), 1.0)
-    with pytest.raises(DomainError):
-        tail_probability(("weird", 1), 1.0)
+def test_tail_edges():
+    assert chi_square_tail(0.0, 3) == 1.0
+    assert f_tail(0.0, 2, 7) == 1.0
+    assert student_t_tail(0.0, 9) == pytest.approx(0.5)
+    for tail, args in ((student_t_tail, (-1,)), (f_tail, (2, -1)), (chi_square_tail, (0,))):
+        with pytest.raises(DomainError):
+            tail(1.0, *args)
 
 
 def test_tails_are_monotone_non_increasing():
-    grids = {
-        ("t", 7): [0.0, 0.5, 1.0, 2.0, 5.0, 10.0],
-        ("f", 3, 12): [0.0, 0.5, 1.0, 2.0, 5.0, 10.0],
-        ("chisq", 4): [0.0, 0.5, 1.0, 2.0, 5.0, 10.0],
-    }
-    for dist, xs in grids.items():
-        values = [tail_probability(dist, x) for x in xs]
+    xs = [0.0, 0.5, 1.0, 2.0, 5.0, 10.0]
+    tails = (
+        lambda x: student_t_tail(x, 7),
+        lambda x: f_tail(x, 3, 12),
+        lambda x: chi_square_tail(x, 4),
+    )
+    for tail in tails:
+        values = [tail(x) for x in xs]
         assert all(b <= a for a, b in zip(values, values[1:]))
         assert all(0.0 <= v <= 1.0 for v in values)
 
@@ -415,6 +419,22 @@ def test_pca_eigen_sum_and_nonnegativity_on_random_data():
         assert sum(result.eigenvalues) == pytest.approx(p, abs=1e-9)
         assert all(v >= -1e-10 for v in result.eigenvalues)
         assert all(-1.0 - 1e-12 <= l <= 1.0 + 1e-12 for l in result.loadings)
+
+
+@settings(deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(8, 60),
+    p=st.sampled_from([3, 5]),
+)
+def test_pca_loadings_satisfy_the_eigen_equation(seed, n, p):
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal((n, p)) @ rng.standard_normal((p, p))
+    result = pca_unrotated(data)
+    corr = np.corrcoef(data, rowvar=False)
+    loadings = np.array(result.loadings)
+    residual = corr @ loadings - result.eigenvalues[0] * loadings
+    assert np.max(np.abs(residual)) <= 1e-12
 
 
 def test_pca_rejects_constant_column_and_bad_shapes():
