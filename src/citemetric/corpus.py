@@ -44,7 +44,9 @@ class ArticleStatus(str, Enum):
 VISIBLE_STATUSES = frozenset({ArticleStatus.KEPT, ArticleStatus.NEEDS_REVIEW})
 
 
-@dataclass(frozen=True)
+# Records are slotted: one corpus load builds tens of thousands of them, and
+# slots hold a record in less memory than an instance dict.
+@dataclass(frozen=True, slots=True)
 class JournalRecord:
     journal_id: str
     title: str
@@ -53,7 +55,7 @@ class JournalRecord:
     memberships: frozenset = frozenset()  # of Library
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArticleRecord:
     journal_id: str
     title: str
@@ -66,8 +68,9 @@ class ArticleRecord:
     status: ArticleStatus = ArticleStatus.KEPT
     # export line the record was parsed from, named in cleaning decisions. Only
     # the export parser sets it, after construction, so records built elsewhere
-    # (from corpus JSON, say) pay nothing for it. It is not serialized, takes no
-    # part in equality, and dataclasses.replace does not carry it over.
+    # (from corpus JSON, say) keep None and take no argument for it. It is not
+    # serialized, takes no part in equality, and dataclasses.replace does not
+    # carry it over.
     line_number: Optional[int] = field(default=None, init=False, compare=False, repr=False)
 
 

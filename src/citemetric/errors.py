@@ -14,6 +14,10 @@ class MalformedHeader(CitemetricError):
         self.got = got
 
 
+class MalformedCorpus(CitemetricError):
+    """A corpus JSON document that does not have the shape corpus_to_json writes."""
+
+
 class BadCell(CitemetricError):
     def __init__(self, line: int, column: str, reason: str):
         super().__init__(f"line {line}, column {column!r}: {reason}")

@@ -15,6 +15,7 @@ import json
 import re
 import unicodedata
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
@@ -33,6 +34,7 @@ from .errors import (
     BadCell,
     DomainError,
     DuplicateId,
+    MalformedCorpus,
     MalformedHeader,
     MixedJournal,
     UnknownJournal,
@@ -500,6 +502,28 @@ def build_corpus(
 _LIBRARY_ORDER = list(Library)
 
 
+class _StatusTable(dict):
+    """Status value -> member; a plain lookup is several times cheaper than
+    calling ``ArticleStatus(value)`` once per article."""
+
+    def __missing__(self, value):
+        raise ValueError(f"{value!r} is not a valid ArticleStatus")
+
+
+_STATUS_BY_VALUE = _StatusTable((s.value, s) for s in ArticleStatus)
+
+
+@contextmanager
+def _section(name: str):
+    """Turn a shape error inside one corpus JSON section into MalformedCorpus."""
+    try:
+        yield
+    except KeyError as error:
+        raise MalformedCorpus(f"corpus JSON {name}: missing key {error}") from None
+    except (TypeError, ValueError) as error:
+        raise MalformedCorpus(f"corpus JSON {name}: {error}") from None
+
+
 def corpus_to_json(corpus: JournalCorpus) -> str:
     """Serialize to the canonical single-document JSON form (deterministic bytes)."""
     doc = {
@@ -534,34 +558,41 @@ def corpus_to_json(corpus: JournalCorpus) -> str:
 
 
 def corpus_from_json(content) -> JournalCorpus:
+    """Read the document :func:`corpus_to_json` writes.
+
+    A document of another shape (a missing key, a list where an object
+    belongs, an unknown area, category, library or status) raises
+    :class:`MalformedCorpus` naming the section it was found in.
+    """
     doc = json.loads(_decode(content))
-    journals = tuple(
-        JournalRecord(
-            journal_id=j["journal_id"],
-            title=j["title"],
-            area=Area(j["area"]),
-            category=IbnpCategory(j["category"]),
-            memberships=frozenset(Library(t) for t in j["memberships"]),
+    with _section("journals"):
+        journals = tuple(
+            JournalRecord(
+                j["journal_id"],
+                j["title"],
+                Area(j["area"]),
+                IbnpCategory(j["category"]),
+                frozenset(Library(t) for t in j["memberships"]),
+            )
+            for j in doc["journals"]
         )
-        for j in doc["journals"]
-    )
-    articles = tuple(
-        ArticleRecord(
-            journal_id=a["journal_id"],
-            title=a["title"],
-            year=a["year"],
-            cites=a["cites"],
-            authors=a.get("authors", ""),
-            publication=a.get("publication", ""),
-            publisher=a.get("publisher", ""),
-            url=a.get("url", ""),
-            status=ArticleStatus(a["status"]),
+    with _section("articles"):
+        articles = tuple(
+            ArticleRecord(
+                a["journal_id"],
+                a["title"],
+                a["year"],
+                a["cites"],
+                a.get("authors", ""),
+                a.get("publication", ""),
+                a.get("publisher", ""),
+                a.get("url", ""),
+                _STATUS_BY_VALUE[a["status"]],
+            )
+            for a in doc["articles"]
         )
-        for a in doc["articles"]
-    )
-    return JournalCorpus(
-        journals=journals,
-        articles=articles,
-        ibnp_totals=dict(doc["ibnp_totals"]),
-        window=tuple(doc["window"]),
-    )
+    with _section("ibnp_totals"):
+        totals = dict(doc["ibnp_totals"])
+    with _section("window"):
+        window = tuple(doc["window"])
+    return JournalCorpus(journals=journals, articles=articles, ibnp_totals=totals, window=window)

@@ -6,6 +6,10 @@ squares, one-way tests, post-hoc letter displays, and unrotated principal
 components over a correlation matrix (``numpy.linalg.eigh``). Everything is
 pure and deterministic; accumulations use ``math.fsum``, which is correctly
 rounded, so sums do not depend on input order at all.
+
+numpy is imported inside ``ols_fit`` and ``pca_unrotated``, its only users, so
+importing this module (and every CLI command but ``factor`` and ``regress``)
+does not pay numpy's import time.
 """
 
 from __future__ import annotations
@@ -14,8 +18,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence, Tuple
-
-import numpy as np
 
 from .errors import (
     AllTied,
@@ -296,6 +298,8 @@ def ols_fit(y: Sequence[float], predictors: Sequence[Sequence[float]]) -> Regres
     after the ones before it, so the entries depend on predictor order while
     the fit itself does not.
     """
+    import numpy as np
+
     yv = np.asarray(y, dtype=float)
     n = yv.shape[0]
     p = len(predictors)
@@ -535,6 +539,8 @@ def tukey_groups(
 
 def pca_unrotated(data) -> FactorResult:
     """Principal components of the Pearson correlation matrix, no rotation."""
+    import numpy as np
+
     array = np.asarray(data, dtype=float)
     if array.ndim != 2:
         raise DomainError("data must be a two-dimensional matrix")

@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -224,6 +227,95 @@ def test_title_threshold_of_one_is_accepted(tmp_path):
     out = tmp_path / "corpus.json"
     args = ["ingest", "--registry", str(registry), "--records-dir", str(records)]
     assert main(args + ["--title-threshold", "1", "--out", str(out)]) == 0
+
+
+def _without_journals(doc):
+    del doc["journals"]
+
+
+def _without_cites(doc):
+    del doc["articles"][3]["cites"]
+
+
+def _articles_not_a_list(doc):
+    doc["articles"] = 5
+
+
+def _unknown_status(doc):
+    doc["articles"][0]["status"] = "Bogus"
+
+
+def _unknown_area(doc):
+    doc["journals"][0]["area"] = "Artes"
+
+
+def _unknown_library(doc):
+    doc["journals"][0]["memberships"] = ["Dialnet"]
+
+
+@pytest.mark.parametrize(
+    "damage, says",
+    [
+        (_without_journals, "missing key 'journals'"),
+        (_without_cites, "missing key 'cites'"),
+        (_articles_not_a_list, "'int' object is not iterable"),
+        (_unknown_status, "'Bogus' is not a valid ArticleStatus"),
+        (_unknown_area, "'Artes' is not a valid Area"),
+        (_unknown_library, "'Dialnet' is not a valid Library"),
+    ],
+)
+def test_malformed_corpus_json_is_a_one_line_data_error(tmp_path, capsys, damage, says):
+    doc = json.loads(BUNDLED_CORPUS.read_text(encoding="utf-8"))
+    damage(doc)
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "table.csv"
+    assert main(["classify", "--corpus", str(corpus), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("citemetric classify: corpus JSON ")
+    assert says in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+_NUMPY_PROBE = """
+import json, sys
+from citemetric.cli import main
+
+assert "numpy" not in sys.modules, "importing the CLI loaded numpy"
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+    if "numpy" in sys.modules:
+        print(argv[0])
+        break
+"""
+
+
+def test_only_factor_and_regress_load_numpy(tmp_path):
+    registry, records = write_fixture_tree(tmp_path)
+    corpus = str(tmp_path / "corpus.json")
+    area = ["--corpus", corpus, "--area", "ciencias", "--out", str(tmp_path / "out")]
+    commands = [
+        ["ingest", "--registry", str(registry), "--records-dir", str(records), "--out", corpus],
+        ["indicators", *area],
+        ["compare", "--by", "category", *area],
+        ["correlate", "--vars", "h,cr_ga_log10,pi_ld", *area],
+        ["classify", "--corpus", corpus, "--format", "md", "--out", str(tmp_path / "table.md")],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+
+    def first_to_load_numpy(argvs):
+        run = subprocess.run(
+            [sys.executable, "-c", _NUMPY_PROBE, json.dumps(argvs)],
+            env=env, capture_output=True, text=True,
+        )
+        assert run.returncode == 0, run.stderr
+        return run.stdout.strip()
+
+    assert first_to_load_numpy(commands) == ""
+    # the probe does see numpy once a linear-algebra command runs
+    assert first_to_load_numpy(commands + [["factor", *area]]) == "factor"
+    assert first_to_load_numpy([["regress", *area]]) == "regress"
 
 
 def test_parse_window():

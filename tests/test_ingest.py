@@ -1,6 +1,14 @@
 import pytest
 
-from citemetric.corpus import Area, ArticleStatus, IbnpCategory, Library, validate_corpus
+from citemetric.corpus import (
+    Area,
+    ArticleRecord,
+    ArticleStatus,
+    IbnpCategory,
+    JournalCorpus,
+    Library,
+    validate_corpus,
+)
 from citemetric.errors import BadCell, DuplicateId, MalformedHeader, UnknownJournal
 from citemetric.ingest import (
     REGISTRY_HEADER,
@@ -142,9 +150,39 @@ def test_build_corpus_empty_records_is_valid():
     assert validate_corpus(corpus) == []
 
 
+def _every_status_corpus():
+    """The fixture's journals with one article per status, a missing year and
+    blank optional fields (the bundled fixture holds only Kept rows)."""
+    fixture = build_fixture_corpus()
+    first, second = (j.journal_id for j in fixture.journals[:2])
+    articles = (
+        ArticleRecord(first, "Suelos andinos", 2004, 3, "Ruiz, A", "Rev", "UN", "http://x/1"),
+        ArticleRecord(first, "Sin fecha", None, 0, status=ArticleStatus.DROPPED_INCOMPLETE),
+        ArticleRecord(first, "Suelos andinos.", 2004, 1, status=ArticleStatus.DROPPED_DUPLICATE),
+        ArticleRecord(second, "Clima tropical", 2006, 2, "", "", "", "", ArticleStatus.NEEDS_REVIEW),
+        ArticleRecord(second, "Tropical weather", 2006, 2, status=ArticleStatus.NEEDS_REVIEW),
+    )
+    return JournalCorpus(fixture.journals, articles, fixture.ibnp_totals, fixture.window)
+
+
 def test_corpus_json_round_trip():
-    corpus = build_fixture_corpus()
-    assert corpus_from_json(corpus_to_json(corpus)) == corpus
+    mixed = _every_status_corpus()
+    assert validate_corpus(mixed) == []
+    assert {a.status for a in mixed.articles} == set(ArticleStatus)
+    for corpus in (build_fixture_corpus(), mixed):
+        text = corpus_to_json(corpus)
+        loaded = corpus_from_json(text)
+        assert loaded == corpus
+        # members, not their str values (a str Enum member equals its value)
+        assert all(a.status is b.status for a, b in zip(loaded.articles, corpus.articles))
+        assert corpus_to_json(loaded) == text
+
+
+def test_parse_citation_export_records_line_numbers():
+    content = EXPORT_HEADER + "\n3,,Efecto del clima,2005,,,\n\n1,,Suelos,2004,,,\n"
+    records = parse_citation_export(content, "j1")
+    assert [r.line_number for r in records] == [2, 4]
+    assert records[0] == ArticleRecord("j1", "Efecto del clima", 2005, 3)
 
 
 def test_corpus_json_is_deterministic():
