@@ -45,7 +45,13 @@ VISIBLE_STATUSES = frozenset({ArticleStatus.KEPT, ArticleStatus.NEEDS_REVIEW})
 
 
 # Records are slotted: one corpus load builds tens of thousands of them, and
-# slots hold a record in less memory than an instance dict.
+# slots hold a record in less memory than an instance dict. A frozen __init__
+# stores each field through object.__setattr__, ten calls per article record,
+# which was a third of loading a large corpus JSON; so that load fills an
+# _ArticleRecordBuilder with plain slot stores instead and then sets its
+# __class__ to ArticleRecord. This is safe because the builder's slots are
+# ArticleRecord's own: CPython refuses a __class__ assignment between layouts
+# that differ, so a drift between the two raises TypeError on the first record.
 @dataclass(frozen=True, slots=True)
 class JournalRecord:
     journal_id: str
@@ -72,6 +78,12 @@ class ArticleRecord:
     # serialized, takes no part in equality, and dataclasses.replace does not
     # carry it over.
     line_number: Optional[int] = field(default=None, init=False, compare=False, repr=False)
+
+
+class _ArticleRecordBuilder:
+    """A mutable ArticleRecord layout: set every slot, then the class."""
+
+    __slots__ = ArticleRecord.__slots__
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from .corpus import (
     JournalCorpus,
     JournalRecord,
     Library,
+    _ArticleRecordBuilder,
     validate_corpus,
 )
 from .errors import (
@@ -557,12 +558,51 @@ def corpus_to_json(corpus: JournalCorpus) -> str:
     return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
 
 
+def _scalar_fault(where: str, name: str, value, expected: str) -> TypeError:
+    return TypeError(f"{where}: {name} is {type(value).__name__}, not {expected}")
+
+
+def _articles(rows) -> Tuple[ArticleRecord, ...]:
+    """Build the article records of a corpus JSON document.
+
+    Each record is an :class:`_ArticleRecordBuilder` filled with plain slot
+    stores and then given its class; see the note above the record classes
+    in :mod:`citemetric.corpus`.
+    ``type(...) is int`` refuses ``bool``, which is an ``int`` subclass.
+    """
+    articles = []
+    for index, a in enumerate(rows):
+        journal_id, year, cites = a["journal_id"], a["year"], a["cites"]
+        if type(journal_id) is not str:
+            raise _scalar_fault(f"article {index}", "journal_id", journal_id, "str")
+        if type(cites) is not int:
+            raise _scalar_fault(f"article {index}", "cites", cites, "int")
+        if year is not None and type(year) is not int:
+            raise _scalar_fault(f"article {index}", "year", year, "int or null")
+        record = _ArticleRecordBuilder()
+        record.journal_id = journal_id
+        record.title = a["title"]
+        record.year = year
+        record.cites = cites
+        record.authors = a.get("authors", "")
+        record.publication = a.get("publication", "")
+        record.publisher = a.get("publisher", "")
+        record.url = a.get("url", "")
+        record.status = _STATUS_BY_VALUE[a["status"]]
+        record.line_number = None
+        record.__class__ = ArticleRecord
+        articles.append(record)
+    return tuple(articles)
+
+
 def corpus_from_json(content) -> JournalCorpus:
     """Read the document :func:`corpus_to_json` writes.
 
     A document of another shape (a missing key, a list where an object
-    belongs, an unknown area, category, library or status) raises
-    :class:`MalformedCorpus` naming the section it was found in.
+    belongs, an unknown area, category, library or status, a journal id,
+    year, cites or ibnp total of the wrong type, or a journal without an
+    ibnp total) raises :class:`MalformedCorpus` naming the section it was
+    found in.
     """
     doc = json.loads(_decode(content))
     with _section("journals"):
@@ -576,23 +616,19 @@ def corpus_from_json(content) -> JournalCorpus:
             )
             for j in doc["journals"]
         )
+        for index, journal in enumerate(journals):
+            if type(journal.journal_id) is not str:
+                raise _scalar_fault(f"journal {index}", "journal_id", journal.journal_id, "str")
     with _section("articles"):
-        articles = tuple(
-            ArticleRecord(
-                a["journal_id"],
-                a["title"],
-                a["year"],
-                a["cites"],
-                a.get("authors", ""),
-                a.get("publication", ""),
-                a.get("publisher", ""),
-                a.get("url", ""),
-                _STATUS_BY_VALUE[a["status"]],
-            )
-            for a in doc["articles"]
-        )
+        articles = _articles(doc["articles"])
     with _section("ibnp_totals"):
         totals = dict(doc["ibnp_totals"])
+        for journal in journals:
+            if journal.journal_id not in totals:
+                raise ValueError(f"no entry for journal {journal.journal_id!r}")
+            total = totals[journal.journal_id]
+            if type(total) is not int:
+                raise _scalar_fault(f"journal {journal.journal_id!r}", "total", total, "int")
     with _section("window"):
         window = tuple(doc["window"])
     return JournalCorpus(journals=journals, articles=articles, ibnp_totals=totals, window=window)

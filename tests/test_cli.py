@@ -253,6 +253,34 @@ def _unknown_library(doc):
     doc["journals"][0]["memberships"] = ["Dialnet"]
 
 
+def _without_ibnp_total(doc):
+    del doc["ibnp_totals"]["sci001"]
+
+
+def _string_ibnp_total(doc):
+    doc["ibnp_totals"]["sci001"] = "12"
+
+
+def _string_cites(doc):
+    doc["articles"][3]["cites"] = "5"
+
+
+def _boolean_cites(doc):
+    doc["articles"][3]["cites"] = True
+
+
+def _list_journal_id(doc):
+    doc["articles"][3]["journal_id"] = []
+
+
+def _number_journal_id(doc):
+    doc["journals"][0]["journal_id"] = 1
+
+
+def _string_year(doc):
+    doc["articles"][3]["year"] = "2004"
+
+
 @pytest.mark.parametrize(
     "damage, says",
     [
@@ -262,6 +290,13 @@ def _unknown_library(doc):
         (_unknown_status, "'Bogus' is not a valid ArticleStatus"),
         (_unknown_area, "'Artes' is not a valid Area"),
         (_unknown_library, "'Dialnet' is not a valid Library"),
+        (_without_ibnp_total, "ibnp_totals: no entry for journal 'sci001'"),
+        (_string_ibnp_total, "ibnp_totals: journal 'sci001': total is str, not int"),
+        (_string_cites, "articles: article 3: cites is str, not int"),
+        (_boolean_cites, "articles: article 3: cites is bool, not int"),
+        (_list_journal_id, "articles: article 3: journal_id is list, not str"),
+        (_number_journal_id, "journals: journal 0: journal_id is int, not str"),
+        (_string_year, "articles: article 3: year is str, not int or null"),
     ],
 )
 def test_malformed_corpus_json_is_a_one_line_data_error(tmp_path, capsys, damage, says):

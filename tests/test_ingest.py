@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import pytest
 
 from citemetric.corpus import (
@@ -7,6 +10,7 @@ from citemetric.corpus import (
     IbnpCategory,
     JournalCorpus,
     Library,
+    _ArticleRecordBuilder,
     validate_corpus,
 )
 from citemetric.errors import BadCell, DuplicateId, MalformedHeader, UnknownJournal
@@ -176,6 +180,41 @@ def test_corpus_json_round_trip():
         # members, not their str values (a str Enum member equals its value)
         assert all(a.status is b.status for a, b in zip(loaded.articles, corpus.articles))
         assert corpus_to_json(loaded) == text
+
+
+def _constructed(record):
+    """The same article built by ArticleRecord's own __init__."""
+    init_fields = (f.name for f in dataclasses.fields(ArticleRecord) if f.init)
+    return ArticleRecord(*(getattr(record, name) for name in init_fields))
+
+
+def test_corpus_json_records_equal_constructed_records():
+    assert _ArticleRecordBuilder.__slots__ is ArticleRecord.__slots__
+    for corpus in (build_fixture_corpus(), _every_status_corpus()):
+        loaded = corpus_from_json(corpus_to_json(corpus))
+        for got, original in zip(loaded.articles, corpus.articles, strict=True):
+            want = _constructed(original)
+            assert type(got) is ArticleRecord
+            assert (got, hash(got), repr(got)) == (want, hash(want), repr(want))
+            # reads every slot, so one the loader left unset raises here
+            assert [getattr(got, name) for name in ArticleRecord.__slots__] == [
+                getattr(want, name) for name in ArticleRecord.__slots__
+            ]
+            assert got.line_number is None
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                got.cites = 0
+            assert dataclasses.replace(got, cites=got.cites + 1) == dataclasses.replace(
+                want, cites=want.cites + 1
+            )
+
+
+def test_corpus_json_absent_optional_strings_load_empty():
+    doc = json.loads(corpus_to_json(_every_status_corpus()))
+    for name in ("authors", "publication", "publisher", "url"):
+        del doc["articles"][0][name]
+    got = corpus_from_json(json.dumps(doc)).articles[0]
+    assert (got.authors, got.publication, got.publisher, got.url) == ("", "", "", "")
+    assert got == ArticleRecord(got.journal_id, "Suelos andinos", 2004, 3)
 
 
 def test_parse_citation_export_records_line_numbers():
