@@ -12,7 +12,6 @@ from .corpus import (
     validate_corpus,
 )
 from .indicators import (
-    AreaStats,
     GroupSummary,
     IndicatorSet,
     area_mean_citation,

@@ -1,8 +1,11 @@
-"""Corpus-level analyses: group comparisons, correlation matrices, the
+"""Area-level analyses: group comparisons, correlation matrices, the
 citation factor analysis, and the two citation regressions.
 
-Everything works on one knowledge area at a time and reads indicator values
-through a named-variable registry so callers can pick columns by name.
+Each analysis takes one knowledge area's ``(JournalRecord, IndicatorSet)``
+pairs, as :func:`citemetric.indicators.corpus_indicator_sets` returns them
+for a corpus restricted with :func:`citemetric.corpus.filter_by_area`, and
+reads indicator values through a named-variable registry so callers can pick
+columns by name.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Mapping, Optional, Sequence, Tuple
 
-from .corpus import Area, IbnpCategory, JournalCorpus, Library, filter_by_area
+# filter_by_area and corpus_indicator_sets go unused here; bench/spans.py wraps them by name
+from .corpus import Area, IbnpCategory, JournalRecord, Library, filter_by_area
 from .errors import DomainError, NoGroups, TooFewJournals
 from .indicators import (
     GroupSummary,
@@ -94,32 +98,39 @@ def _extractor(name: str) -> Callable[[IndicatorSet], Optional[float]]:
         raise DomainError(f"unknown variable {name!r}; choose from {sorted(VARIABLES)}") from None
 
 
-def _area_sets(
-    corpus: JournalCorpus, area: Area, mean_mode: str
-) -> list[Tuple[object, IndicatorSet]]:
-    return corpus_indicator_sets(filter_by_area(corpus, area), mean_mode=mean_mode)
+#: one area's journals with their indicators
+Pairs = Sequence[Tuple[JournalRecord, IndicatorSet]]
+
+
+def _complete_rows(pairs: Pairs, names: Sequence[str]) -> list[list[float]]:
+    """The named variables of every journal where all of them are defined."""
+    extractors = [_extractor(name) for name in names]
+    rows = []
+    for _, s in pairs:
+        values = [extract(s) for extract in extractors]
+        if all(v is not None for v in values):
+            rows.append(values)
+    return rows
 
 
 def compare_groups(
-    corpus: JournalCorpus,
+    pairs: Pairs,
     area: Area,
     dimension: GroupDimension,
     variables: Sequence[str] = DEFAULT_COMPARE_VARIABLES,
     method: str = "anova",
     alpha: float = 0.05,
-    mean_mode: str = "ratios",
 ) -> ComparisonTable:
     """Compare indicator variables across libraries or registry categories.
 
     Library groups overlap: a journal contributes to every library it belongs
     to. Groups below two journals are excluded and reported as such. Letters
     are always computed on the plain variable values, whichever omnibus test
-    runs.
+    runs. ``area`` only labels the table.
     """
     dimension = GroupDimension(dimension)
     if method not in ("anova", "kw"):
         raise DomainError(f"unknown method {method!r}; use 'anova' or 'kw'")
-    pairs = _area_sets(corpus, area, mean_mode)
 
     grouped: list[Tuple[str, list[IndicatorSet]]] = []
     if dimension is GroupDimension.BY_LIBRARY:
@@ -170,18 +181,13 @@ def compare_groups(
 
 
 def correlation_matrix(
-    corpus: JournalCorpus,
-    area: Area,
-    variables: Sequence[str],
-    alpha: float = 0.05,
-    mean_mode: str = "ratios",
+    pairs: Pairs, variables: Sequence[str], alpha: float = 0.05
 ) -> CorrelationMatrix:
     """Pairwise rank correlations with pairwise deletion of undefined values."""
     names = tuple(variables)
     if len(names) < 2:
         raise DomainError("need at least two variables")
-    sets = [s for _, s in _area_sets(corpus, area, mean_mode)]
-    columns = {name: [_extractor(name)(s) for s in sets] for name in names}
+    columns = {name: [_extractor(name)(s) for _, s in pairs] for name in names}
 
     size = len(names)
     r = [[1.0] * size for _ in range(size)]
@@ -211,17 +217,9 @@ def correlation_matrix(
     )
 
 
-def citation_factor_analysis(
-    corpus: JournalCorpus, area: Area, mean_mode: str = "ratios"
-) -> FactorResult:
+def citation_factor_analysis(pairs: Pairs) -> FactorResult:
     """Unrotated principal components over the three citation indicators."""
-    sets = [s for _, s in _area_sets(corpus, area, mean_mode)]
-    extractors = [_extractor(name) for name in FACTOR_VARIABLES]
-    rows = []
-    for s in sets:
-        values = [extract(s) for extract in extractors]
-        if all(v is not None for v in values):
-            rows.append(values)
+    rows = _complete_rows(pairs, FACTOR_VARIABLES)
     if len(rows) < 4:
         raise TooFewJournals(f"only {len(rows)} journals with all citation indicators")
     return pca_unrotated(rows)
@@ -242,23 +240,12 @@ def contributing_variables(
 REGRESSION_PREDICTORS = ("air_ga_log10", "pi_ld")
 
 
-def citation_regression(
-    corpus: JournalCorpus,
-    area: Area,
-    response: str = "logcr",
-    mean_mode: str = "ratios",
-) -> RegressionResult:
+def citation_regression(pairs: Pairs, response: str = "logcr") -> RegressionResult:
     """Regress citations (log scale) or the h index on visible size and indexation."""
     if response not in ("logcr", "h"):
         raise DomainError(f"unknown response {response!r}; use 'logcr' or 'h'")
-    sets = [s for _, s in _area_sets(corpus, area, mean_mode)]
     response_name = "cr_ga_log10" if response == "logcr" else "h"
-    extractors = [_extractor(response_name)] + [_extractor(p) for p in REGRESSION_PREDICTORS]
-    rows = []
-    for s in sets:
-        values = [extract(s) for extract in extractors]
-        if all(v is not None for v in values):
-            rows.append(values)
+    rows = _complete_rows(pairs, (response_name, *REGRESSION_PREDICTORS))
     if len(rows) < 5:
         raise TooFewJournals(f"only {len(rows)} journals with response and predictors")
     y = [row[0] for row in rows]

@@ -21,7 +21,7 @@ from .errors import CitemetricError, DomainError
 from .ingest import DedupConfig
 
 _AREAS = {"ciencias": Area.CIENCIAS, "sociales": Area.CIENCIAS_SOCIALES}
-_MEAN_MODES = {"ratios": "ratios", "pooled": "pooled"}
+_MEAN_MODES = ("pooled", "ratios")
 
 
 def _parse_window(text: str) -> Tuple[int, int]:
@@ -85,8 +85,12 @@ def _read_bytes(path: str) -> bytes:
         return handle.read()
 
 
-def _load_corpus(path: str):
-    return ingest.corpus_from_json(_read_bytes(path))
+def _area_pairs(args, mean_mode: str = "ratios"):
+    """Load --corpus, keep --area's journals if one is given, and compute indicators."""
+    corpus = ingest.corpus_from_json(_read_bytes(args.corpus))
+    if args.area:
+        corpus = filter_by_area(corpus, _AREAS[args.area])
+    return indicators.corpus_indicator_sets(corpus, mean_mode=mean_mode)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -107,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("indicators", help="per-journal indicator table as CSV")
     p.add_argument("--corpus", required=True)
     p.add_argument("--area", required=True, choices=sorted(_AREAS))
-    p.add_argument("--area-mean", default="ratios", choices=sorted(_MEAN_MODES))
+    p.add_argument("--area-mean", default="ratios", choices=_MEAN_MODES)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("compare", help="compare indicators across libraries or categories")
@@ -141,7 +145,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--area", choices=sorted(_AREAS))
     p.add_argument("--quartile-mode", default="empirical", choices=["empirical", "fixed"])
-    p.add_argument("--area-mean", default="ratios", choices=sorted(_MEAN_MODES))
+    p.add_argument("--area-mean", default="ratios", choices=_MEAN_MODES)
     p.add_argument("--top", type=_top)
     p.add_argument("--format", default="csv", choices=["csv", "json", "md"])
     p.add_argument("--out", required=True)
@@ -171,15 +175,13 @@ def _run_ingest(args) -> None:
 
 
 def _run_indicators(args) -> None:
-    corpus = _load_corpus(args.corpus)
-    area_corpus = filter_by_area(corpus, _AREAS[args.area])
-    pairs = indicators.corpus_indicator_sets(area_corpus, mean_mode=_MEAN_MODES[args.area_mean])
+    pairs = _area_pairs(args, args.area_mean)
     _write_atomic(args.out, indicators.indicators_csv(pairs).encode("utf-8"))
 
 
 def _run_compare(args) -> None:
     table = analysis.compare_groups(
-        _load_corpus(args.corpus),
+        _area_pairs(args),
         _AREAS[args.area],
         analysis.GroupDimension(args.by),
         variables=[v for v in args.vars.split(",") if v],
@@ -191,8 +193,7 @@ def _run_compare(args) -> None:
 
 def _run_correlate(args) -> None:
     matrix = analysis.correlation_matrix(
-        _load_corpus(args.corpus),
-        _AREAS[args.area],
+        _area_pairs(args),
         variables=[v for v in args.vars.split(",") if v],
         alpha=args.alpha,
     )
@@ -200,23 +201,17 @@ def _run_correlate(args) -> None:
 
 
 def _run_factor(args) -> None:
-    result = analysis.citation_factor_analysis(_load_corpus(args.corpus), _AREAS[args.area])
+    result = analysis.citation_factor_analysis(_area_pairs(args))
     _write_atomic(args.out, analysis.factor_to_json(result).encode("utf-8"))
 
 
 def _run_regress(args) -> None:
-    result = analysis.citation_regression(
-        _load_corpus(args.corpus), _AREAS[args.area], response=args.response
-    )
+    result = analysis.citation_regression(_area_pairs(args), response=args.response)
     _write_atomic(args.out, analysis.regression_to_json(result, args.response).encode("utf-8"))
 
 
 def _run_classify(args) -> None:
-    corpus = _load_corpus(args.corpus)
-    if args.area:
-        corpus = filter_by_area(corpus, _AREAS[args.area])
-    pairs = indicators.corpus_indicator_sets(corpus, mean_mode=_MEAN_MODES[args.area_mean])
-    rows = classify.rank_journals(pairs)
+    rows = classify.rank_journals(_area_pairs(args, args.area_mean))
     if args.quartile_mode == "fixed":
         bounds = classify.FIXED_BOUNDS
     else:

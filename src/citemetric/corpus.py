@@ -6,9 +6,9 @@ threads. Serialization lives in :mod:`citemetric.ingest`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Tuple
 
 DEFAULT_WINDOW: Tuple[int, int] = (2003, 2007)
 
@@ -92,9 +92,6 @@ class JournalCorpus:
     articles: Tuple[ArticleRecord, ...]
     ibnp_totals: Mapping[str, int]
     window: Tuple[int, int] = DEFAULT_WINDOW
-
-    def journal_ids(self) -> Tuple[str, ...]:
-        return tuple(j.journal_id for j in self.journals)
 
 
 def validate_corpus(corpus: JournalCorpus) -> list[str]:

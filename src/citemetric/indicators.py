@@ -10,7 +10,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .corpus import (
     VISIBLE_STATUSES,
@@ -57,16 +57,8 @@ class IndicatorSet:
     h: int
     pi_ld: int
     pi_ibnp: int
-    h_sc: Optional[int] = None
+    h_sc: Optional[int] = None  # no input supplies it; the CSV keeps an empty column
     cpn: Optional[float] = None
-
-
-@dataclass(frozen=True)
-class AreaStats:
-    ca_mean_area: float
-    journal_count: int
-    pooled_mode: bool
-    area: Optional[Area] = None
 
 
 @dataclass(frozen=True)
@@ -122,7 +114,6 @@ def compute_indicator_set(
     journal: JournalRecord,
     records: Sequence[ArticleRecord],
     air_ibnp: int,
-    h_sc: Optional[int] = None,
 ) -> IndicatorSet:
     """Build the full per-journal indicator set from its visible records."""
     if air_ibnp < 0:
@@ -139,13 +130,10 @@ def compute_indicator_set(
         h=h_index([r.cites for r in records]),
         pi_ld=pi_ld(journal.memberships),
         pi_ibnp=pi_ibnp(journal.category),
-        h_sc=h_sc,
     )
 
 
-def area_mean_citation(
-    sets: Sequence[IndicatorSet], mode: str = "ratios", area: Optional[Area] = None
-) -> AreaStats:
+def area_mean_citation(sets: Sequence[IndicatorSet], mode: str = "ratios") -> float:
     """Area-level citations per article.
 
     "ratios" averages the per-journal rates; "pooled" divides summed cites by
@@ -156,26 +144,19 @@ def area_mean_citation(
     if not qualifying:
         raise EmptyArea("no journal with registry production")
     if mode == "ratios":
-        value = math.fsum(s.ca_mean for s in qualifying) / len(qualifying)
-    elif mode == "pooled":
-        value = sum(s.cr_ga for s in qualifying) / sum(s.air_ibnp for s in qualifying)
-    else:
-        raise DomainError(f"unknown area-mean mode {mode!r}")
-    return AreaStats(
-        ca_mean_area=value,
-        journal_count=len(qualifying),
-        pooled_mode=(mode == "pooled"),
-        area=area,
-    )
+        return math.fsum(s.ca_mean for s in qualifying) / len(qualifying)
+    if mode == "pooled":
+        return sum(s.cr_ga for s in qualifying) / sum(s.air_ibnp for s in qualifying)
+    raise DomainError(f"unknown area-mean mode {mode!r}")
 
 
-def cpn(indicator_set: IndicatorSet, area: AreaStats) -> float:
+def cpn(indicator_set: IndicatorSet, area_mean: float) -> float:
     """Observed over expected citation rate against the area average."""
     if indicator_set.ca_mean is None:
         raise DomainError(f"journal {indicator_set.journal_id!r} has no citation rate")
-    if area.ca_mean_area == 0.0:
+    if area_mean == 0.0:
         raise ZeroAreaMean("area citation rate is zero")
-    return indicator_set.ca_mean / area.ca_mean_area
+    return indicator_set.ca_mean / area_mean
 
 
 def _mean_sd(values: Sequence[float]) -> tuple[Optional[float], Optional[float]]:
@@ -218,16 +199,13 @@ def summarize_group(sets: Sequence[IndicatorSet], label: str) -> GroupSummary:
 
 
 def corpus_indicator_sets(
-    corpus: JournalCorpus,
-    mean_mode: str = "ratios",
-    h_sc_by_journal: Optional[Mapping[str, int]] = None,
+    corpus: JournalCorpus, mean_mode: str = "ratios"
 ) -> list[Tuple[JournalRecord, IndicatorSet]]:
     """Indicator sets for every journal, normalized within each journal's area.
 
     The normalized citation index stays unset for journals without a defined
     rate or for areas where no journal qualifies.
     """
-    h_sc_by_journal = h_sc_by_journal or {}
     visible: dict[str, list[ArticleRecord]] = {}
     for article in corpus.articles:
         if article.status in VISIBLE_STATUSES:
@@ -238,25 +216,24 @@ def corpus_indicator_sets(
             journal,
             visible.get(journal.journal_id, ()),
             corpus.ibnp_totals[journal.journal_id],
-            h_sc=h_sc_by_journal.get(journal.journal_id),
         )
         pairs.append((journal, indicator))
 
     by_area: dict[Area, list[IndicatorSet]] = {}
     for journal, indicator in pairs:
         by_area.setdefault(journal.area, []).append(indicator)
-    area_stats: dict[Area, AreaStats] = {}
+    area_means: dict[Area, float] = {}
     for area, sets in by_area.items():
         try:
-            area_stats[area] = area_mean_citation(sets, mode=mean_mode, area=area)
+            area_means[area] = area_mean_citation(sets, mode=mean_mode)
         except EmptyArea:
             continue
 
     out: list[Tuple[JournalRecord, IndicatorSet]] = []
     for journal, indicator in pairs:
-        stats = area_stats.get(journal.area)
-        if stats is not None and indicator.ca_mean is not None and stats.ca_mean_area > 0:
-            indicator = replace(indicator, cpn=cpn(indicator, stats))
+        area_mean = area_means.get(journal.area)
+        if area_mean is not None and indicator.ca_mean is not None and area_mean > 0:
+            indicator = replace(indicator, cpn=cpn(indicator, area_mean))
         out.append((journal, indicator))
     return out
 

@@ -18,7 +18,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 from .corpus import (
     Area,
@@ -573,21 +573,36 @@ def _articles(rows) -> Tuple[ArticleRecord, ...]:
     articles = []
     for index, a in enumerate(rows):
         journal_id, year, cites = a["journal_id"], a["year"], a["cites"]
+        title = a["title"]
+        authors = a.get("authors", "")
+        publication = a.get("publication", "")
+        publisher = a.get("publisher", "")
+        url = a.get("url", "")
         if type(journal_id) is not str:
             raise _scalar_fault(f"article {index}", "journal_id", journal_id, "str")
         if type(cites) is not int:
             raise _scalar_fault(f"article {index}", "cites", cites, "int")
         if year is not None and type(year) is not int:
             raise _scalar_fault(f"article {index}", "year", year, "int or null")
+        if type(title) is not str:
+            raise _scalar_fault(f"article {index}", "title", title, "str")
+        if type(authors) is not str:
+            raise _scalar_fault(f"article {index}", "authors", authors, "str")
+        if type(publication) is not str:
+            raise _scalar_fault(f"article {index}", "publication", publication, "str")
+        if type(publisher) is not str:
+            raise _scalar_fault(f"article {index}", "publisher", publisher, "str")
+        if type(url) is not str:
+            raise _scalar_fault(f"article {index}", "url", url, "str")
         record = _ArticleRecordBuilder()
         record.journal_id = journal_id
-        record.title = a["title"]
+        record.title = title
         record.year = year
         record.cites = cites
-        record.authors = a.get("authors", "")
-        record.publication = a.get("publication", "")
-        record.publisher = a.get("publisher", "")
-        record.url = a.get("url", "")
+        record.authors = authors
+        record.publication = publication
+        record.publisher = publisher
+        record.url = url
         record.status = _STATUS_BY_VALUE[a["status"]]
         record.line_number = None
         record.__class__ = ArticleRecord
@@ -600,8 +615,9 @@ def corpus_from_json(content) -> JournalCorpus:
 
     A document of another shape (a missing key, a list where an object
     belongs, an unknown area, category, library or status, a journal id,
-    year, cites or ibnp total of the wrong type, or a journal without an
-    ibnp total) raises :class:`MalformedCorpus` naming the section it was
+    title, year, cites, ibnp total or article text field of the wrong type,
+    a journal without an ibnp total, or a window that is not two int years
+    in order) raises :class:`MalformedCorpus` naming the section it was
     found in.
     """
     doc = json.loads(_decode(content))
@@ -619,6 +635,8 @@ def corpus_from_json(content) -> JournalCorpus:
         for index, journal in enumerate(journals):
             if type(journal.journal_id) is not str:
                 raise _scalar_fault(f"journal {index}", "journal_id", journal.journal_id, "str")
+            if type(journal.title) is not str:
+                raise _scalar_fault(f"journal {index}", "title", journal.title, "str")
     with _section("articles"):
         articles = _articles(doc["articles"])
     with _section("ibnp_totals"):
@@ -630,5 +648,10 @@ def corpus_from_json(content) -> JournalCorpus:
             if type(total) is not int:
                 raise _scalar_fault(f"journal {journal.journal_id!r}", "total", total, "int")
     with _section("window"):
-        window = tuple(doc["window"])
+        window = doc["window"]
+        if type(window) is not list or len(window) != 2 or any(type(y) is not int for y in window):
+            raise ValueError(f"expected two int years, got {window!r}")
+        if window[0] > window[1]:
+            raise ValueError(f"start {window[0]} is after end {window[1]}")
+        window = tuple(window)
     return JournalCorpus(journals=journals, articles=articles, ibnp_totals=totals, window=window)

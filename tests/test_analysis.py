@@ -33,8 +33,9 @@ from fixture_corpus import build_fixture_corpus
 from oracles import spearman_r_reference
 
 
-def make_corpus(specs) -> JournalCorpus:
-    """Assemble a valid corpus from (journal_id, category, memberships, air, cites)."""
+def make_pairs(specs):
+    """Indicator pairs of a valid Ciencias corpus built from
+    (journal_id, category, memberships, air, cites)."""
     journals, totals, articles = [], {}, []
     for journal_id, category, memberships, air, cites in specs:
         journals.append(
@@ -53,9 +54,8 @@ def make_corpus(specs) -> JournalCorpus:
                     journal_id=journal_id, title=f"{journal_id} articulo {i}", year=2005, cites=c
                 )
             )
-    return JournalCorpus(
-        journals=tuple(journals), articles=tuple(articles), ibnp_totals=totals
-    )
+    corpus = JournalCorpus(journals=tuple(journals), articles=tuple(articles), ibnp_totals=totals)
+    return corpus_indicator_sets(corpus)
 
 
 # --- group comparison --------------------------------------------------------
@@ -63,7 +63,10 @@ def make_corpus(specs) -> JournalCorpus:
 
 def test_compare_excludes_single_journal_library():
     table = compare_groups(
-        build_fixture_corpus(), Area.CIENCIAS, GroupDimension.BY_LIBRARY, method="anova"
+        corpus_indicator_sets(build_fixture_corpus()),
+        Area.CIENCIAS,
+        GroupDimension.BY_LIBRARY,
+        method="anova",
     )
     assert ("WoK", "n=1") in table.excluded
     included = {row.label for row in table.rows}
@@ -76,10 +79,10 @@ def test_compare_single_category_corpus_has_no_groups():
         (f"j{i}", IbnpCategory.B, {Library.GOOGLE_SCHOLAR}, 50, [3, 1]) for i in range(6)
     ]
     with pytest.raises(NoGroups):
-        compare_groups(make_corpus(specs), Area.CIENCIAS, GroupDimension.BY_CATEGORY)
+        compare_groups(make_pairs(specs), Area.CIENCIAS, GroupDimension.BY_CATEGORY)
 
 
-def _category_separation_corpus() -> JournalCorpus:
+def _category_separation_pairs():
     # log10 citation levels around 5.0, 4.99, 3.0, 2.99 with a +-0.045 spread
     specs = []
     levels = {
@@ -95,12 +98,12 @@ def _category_separation_corpus() -> JournalCorpus:
             specs.append(
                 (f"{category.value.lower()}{i}", category, {Library.GOOGLE_SCHOLAR}, 100, [cites])
             )
-    return make_corpus(specs)
+    return make_pairs(specs)
 
 
 def test_compare_category_letters_split_high_and_low():
     table = compare_groups(
-        _category_separation_corpus(),
+        _category_separation_pairs(),
         Area.CIENCIAS,
         GroupDimension.BY_CATEGORY,
         variables=["cr_ga_log10"],
@@ -114,7 +117,7 @@ def test_compare_category_letters_split_high_and_low():
 
 def test_compare_rank_based_method_reports_h_statistic():
     table = compare_groups(
-        _category_separation_corpus(),
+        _category_separation_pairs(),
         Area.CIENCIAS,
         GroupDimension.BY_CATEGORY,
         variables=["cr_ga_log10"],
@@ -127,9 +130,8 @@ def test_compare_rank_based_method_reports_h_statistic():
 
 
 def test_compare_rows_match_standalone_summaries():
-    corpus = build_fixture_corpus()
-    table = compare_groups(corpus, Area.CIENCIAS, GroupDimension.BY_CATEGORY)
-    pairs = corpus_indicator_sets(corpus)
+    pairs = corpus_indicator_sets(build_fixture_corpus())
+    table = compare_groups(pairs, Area.CIENCIAS, GroupDimension.BY_CATEGORY)
     for row in table.rows:
         members = [s for j, s in pairs if j.category.value == row.label]
         standalone = summarize_group(members, row.label)
@@ -137,10 +139,10 @@ def test_compare_rows_match_standalone_summaries():
 
 
 def test_compare_library_groups_overlap():
-    corpus = build_fixture_corpus()
-    table = compare_groups(corpus, Area.CIENCIAS, GroupDimension.BY_LIBRARY)
+    pairs = corpus_indicator_sets(build_fixture_corpus())
+    table = compare_groups(pairs, Area.CIENCIAS, GroupDimension.BY_LIBRARY)
     total = sum(row.n_journals for row in table.rows)
-    assert total > len(corpus.journals)  # journals count once per library
+    assert total > len(pairs)  # journals count once per library
 
 
 # --- correlation matrix ------------------------------------------------------
@@ -148,7 +150,7 @@ def test_compare_library_groups_overlap():
 
 def test_correlation_matrix_is_exactly_symmetric_with_unit_diagonal():
     matrix = correlation_matrix(
-        build_fixture_corpus(), Area.CIENCIAS, ["h", "cr_ga_log10", "ca_mean", "pi_ld"]
+        corpus_indicator_sets(build_fixture_corpus()), ["h", "cr_ga_log10", "ca_mean", "pi_ld"]
     )
     size = len(matrix.variables)
     for i in range(size):
@@ -165,9 +167,7 @@ def test_correlation_of_monotone_transforms_is_one():
         (f"j{i}", IbnpCategory.B, {Library.GOOGLE_SCHOLAR}, 100, [2**i] * (i + 1))
         for i in range(8)
     ]
-    matrix = correlation_matrix(
-        make_corpus(specs), Area.CIENCIAS, ["air_ga_log10", "cr_ga_log10"]
-    )
+    matrix = correlation_matrix(make_pairs(specs), ["air_ga_log10", "cr_ga_log10"])
     assert matrix.r[0][1] == pytest.approx(1.0, abs=1e-12)
     assert matrix.significant[0][1] is True
 
@@ -183,9 +183,8 @@ def test_correlation_matches_reference_on_random_corpus():
             memberships.add(Library.SCOPUS)
         cites = [rng.randint(0, 9) for _ in range(rng.randint(1, 6))]
         specs.append((f"j{i}", IbnpCategory.B, memberships, rng.randint(10, 90), cites))
-    corpus = make_corpus(specs)
-    matrix = correlation_matrix(corpus, Area.CIENCIAS, ["h", "pi_ld", "cr_ga_log10"])
-    pairs = corpus_indicator_sets(corpus)
+    pairs = make_pairs(specs)
+    matrix = correlation_matrix(pairs, ["h", "pi_ld", "cr_ga_log10"])
     h = [float(s.h) for _, s in pairs]
     pi = [float(s.pi_ld) for _, s in pairs]
     assert matrix.r[0][1] == pytest.approx(spearman_r_reference(h, pi), abs=1e-12)
@@ -196,13 +195,13 @@ def test_correlation_requires_three_defined_pairs():
         (f"j{i}", IbnpCategory.B, {Library.GOOGLE_SCHOLAR}, 100, [i + 1]) for i in range(5)
     ]
     with pytest.raises(TooFewJournals):
-        correlation_matrix(make_corpus(specs), Area.CIENCIAS, ["h", "h_sc"])
+        correlation_matrix(make_pairs(specs), ["h", "h_sc"])
 
 
 # --- factor analysis ----------------------------------------------------------
 
 
-def _collinear_corpus() -> JournalCorpus:
+def _collinear_pairs():
     # h, log10 of cites, and the per-article rate all line up affinely:
     # h in (0,1,2,3), cites 10^h - 1, registry size tuned so the rate is h/10
     specs = [
@@ -211,20 +210,19 @@ def _collinear_corpus() -> JournalCorpus:
         ("j2", IbnpCategory.A2, {Library.GOOGLE_SCHOLAR}, 495, [97, 2, 0, 0]),
         ("j3", IbnpCategory.A1, {Library.GOOGLE_SCHOLAR}, 3330, [993, 3, 3, 0, 0]),
     ]
-    return make_corpus(specs)
+    return make_pairs(specs)
 
 
 def test_factor_analysis_on_collinear_indicators():
-    result = citation_factor_analysis(_collinear_corpus(), Area.CIENCIAS)
+    result = citation_factor_analysis(_collinear_pairs())
     assert result.retained == 1
     assert result.variance_explained == pytest.approx(1.0, abs=1e-9)
     assert all(c == pytest.approx(1.0, abs=1e-9) for c in result.communalities)
 
 
 def test_factor_analysis_matches_direct_pca():
-    corpus = build_fixture_corpus()
-    result = citation_factor_analysis(corpus, Area.CIENCIAS)
-    pairs = corpus_indicator_sets(corpus)
+    pairs = corpus_indicator_sets(build_fixture_corpus())
+    result = citation_factor_analysis(pairs)
     rows = [
         [float(s.h), math.log10(s.cr_ga + 1), s.ca_mean]
         for _, s in pairs
@@ -240,7 +238,7 @@ def test_factor_analysis_needs_four_journals():
         (f"j{i}", IbnpCategory.B, {Library.GOOGLE_SCHOLAR}, 50, [i + 1, 1]) for i in range(3)
     ]
     with pytest.raises(TooFewJournals):
-        citation_factor_analysis(make_corpus(specs), Area.CIENCIAS)
+        citation_factor_analysis(make_pairs(specs))
 
 
 def test_contributing_variables_thresholds():
@@ -266,10 +264,9 @@ def test_contributing_variables_thresholds():
 
 
 def test_citation_regression_matches_direct_fit():
-    corpus = build_fixture_corpus()
+    pairs = corpus_indicator_sets(build_fixture_corpus())
     for response in ("logcr", "h"):
-        result = citation_regression(corpus, Area.CIENCIAS, response=response)
-        pairs = corpus_indicator_sets(corpus)
+        result = citation_regression(pairs, response=response)
         rows = [
             (
                 math.log10(s.cr_ga + 1) if response == "logcr" else float(s.h),
@@ -295,7 +292,7 @@ def test_citation_regression_constant_response_has_zero_slopes():
             memberships.add(Library.REDALYC)
         # a single article with one cite keeps h at exactly one everywhere
         specs.append((f"j{i}", IbnpCategory.B, memberships, 30 + i, [1] + [0] * i))
-    result = citation_regression(make_corpus(specs), Area.CIENCIAS, response="h")
+    result = citation_regression(make_pairs(specs), response="h")
     assert result.coefficients[1] == pytest.approx(0.0, abs=1e-9)
     assert result.coefficients[2] == pytest.approx(0.0, abs=1e-9)
 
@@ -305,7 +302,7 @@ def test_citation_regression_needs_five_journals():
         (f"j{i}", IbnpCategory.B, {Library.GOOGLE_SCHOLAR}, 50, [i + 1]) for i in range(4)
     ]
     with pytest.raises(TooFewJournals):
-        citation_regression(make_corpus(specs), Area.CIENCIAS)
+        citation_regression(make_pairs(specs))
 
 
 def test_regression_permuting_corpus_predictors_keeps_the_fit():
@@ -320,8 +317,7 @@ def test_regression_permuting_corpus_predictors_keeps_the_fit():
                 memberships.add(Library.SCOPUS)
             cites = [rng.randint(0, 30) for _ in range(rng.randint(1, 9))]
             specs.append((f"j{i}", IbnpCategory.B, memberships, rng.randint(20, 200), cites))
-        corpus = make_corpus(specs)
-        pairs = corpus_indicator_sets(corpus)
+        pairs = make_pairs(specs)
         y = [math.log10(s.cr_ga + 1) for _, s in pairs]
         x1 = [math.log10(s.air_ga) for _, s in pairs]
         x2 = [float(s.pi_ld) for _, s in pairs]
@@ -338,11 +334,11 @@ def test_regression_permuting_corpus_predictors_keeps_the_fit():
 
 
 def test_analysis_outputs_are_deterministic_json():
-    corpus = build_fixture_corpus()
-    table = compare_groups(corpus, Area.CIENCIAS, GroupDimension.BY_CATEGORY)
-    matrix = correlation_matrix(corpus, Area.CIENCIAS, ["h", "cr_ga_log10", "pi_ld"])
-    factor = citation_factor_analysis(corpus, Area.CIENCIAS)
-    regression = citation_regression(corpus, Area.CIENCIAS)
+    pairs = corpus_indicator_sets(build_fixture_corpus())
+    table = compare_groups(pairs, Area.CIENCIAS, GroupDimension.BY_CATEGORY)
+    matrix = correlation_matrix(pairs, ["h", "cr_ga_log10", "pi_ld"])
+    factor = citation_factor_analysis(pairs)
+    regression = citation_regression(pairs)
     assert comparison_to_json(table) == comparison_to_json(table)
     assert correlation_to_json(matrix) == correlation_to_json(matrix)
     assert factor_to_json(factor) == factor_to_json(factor)
@@ -352,18 +348,18 @@ def test_analysis_outputs_are_deterministic_json():
 def test_serialized_documents_carry_required_keys():
     import json
 
-    corpus = build_fixture_corpus()
-    table = compare_groups(corpus, Area.CIENCIAS, GroupDimension.BY_CATEGORY)
+    pairs = corpus_indicator_sets(build_fixture_corpus())
+    table = compare_groups(pairs, Area.CIENCIAS, GroupDimension.BY_CATEGORY)
     doc = json.loads(comparison_to_json(table))
     assert {"dimension", "variables", "rows", "tests", "letters"} <= set(doc)
     assert set(DEFAULT_COMPARE_VARIABLES) == set(doc["tests"])
 
-    matrix = correlation_matrix(corpus, Area.CIENCIAS, ["h", "cr_ga_log10"])
+    matrix = correlation_matrix(pairs, ["h", "cr_ga_log10"])
     doc = json.loads(correlation_to_json(matrix))
     assert {"variables", "r", "significant"} <= set(doc)
 
-    doc = json.loads(factor_to_json(citation_factor_analysis(corpus, Area.CIENCIAS)))
+    doc = json.loads(factor_to_json(citation_factor_analysis(pairs)))
     assert {"eigenvalues", "loadings", "communalities"} <= set(doc)
 
-    doc = json.loads(regression_to_json(citation_regression(corpus, Area.CIENCIAS), "logcr"))
+    doc = json.loads(regression_to_json(citation_regression(pairs), "logcr"))
     assert {"coefficients", "r2_adjusted", "f", "sequential_ss", "vif"} <= set(doc)

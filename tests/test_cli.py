@@ -1,3 +1,5 @@
+import hashlib
+import importlib
 import json
 import os
 import pathlib
@@ -281,6 +283,31 @@ def _string_year(doc):
     doc["articles"][3]["year"] = "2004"
 
 
+def _string_window(doc):
+    doc["window"] = ["2003", "2007"]
+
+
+def _three_year_window(doc):
+    doc["window"] = [2003, 2005, 2007]
+
+
+def _reversed_window(doc):
+    doc["window"] = [2007, 2003]
+
+
+def _null_kept_title(doc):
+    article = next(a for a in doc["articles"] if a["status"] == "Kept")
+    article["title"] = None
+
+
+def _number_journal_title(doc):
+    doc["journals"][0]["title"] = 5
+
+
+def _number_url(doc):
+    doc["articles"][3]["url"] = 3
+
+
 @pytest.mark.parametrize(
     "damage, says",
     [
@@ -297,6 +324,12 @@ def _string_year(doc):
         (_list_journal_id, "articles: article 3: journal_id is list, not str"),
         (_number_journal_id, "journals: journal 0: journal_id is int, not str"),
         (_string_year, "articles: article 3: year is str, not int or null"),
+        (_string_window, "window: expected two int years, got ['2003', '2007']"),
+        (_three_year_window, "window: expected two int years, got [2003, 2005, 2007]"),
+        (_reversed_window, "window: start 2007 is after end 2003"),
+        (_null_kept_title, "articles: article 0: title is NoneType, not str"),
+        (_number_journal_title, "journals: journal 0: title is int, not str"),
+        (_number_url, "articles: article 3: url is int, not str"),
     ],
 )
 def test_malformed_corpus_json_is_a_one_line_data_error(tmp_path, capsys, damage, says):
@@ -367,3 +400,88 @@ def test_inputs_are_never_mutated(tmp_path):
     _ingest(tmp_path)
     assert registry.read_bytes() == before
     assert record_file.read_bytes() == record_before
+
+
+def _bench_module(name):
+    """Import one of the benchmark's modules from ``bench/`` at the repo root."""
+    bench = str(REPO / "bench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    return importlib.import_module(name)
+
+
+def _two_area_commands(corpus, out):
+    """(output name, argv) for every analysis run the digest table covers."""
+    correlate_vars = _bench_module("workloads").CORRELATE_VARS
+    for area in ("ciencias", "sociales"):
+        common = ["--corpus", corpus, "--area", area]
+        for mean in ("ratios", "pooled"):
+            name = f"{area}_indicators_{mean}.csv"
+            yield name, ["indicators", *common, "--area-mean", mean, "--out", f"{out}/{name}"]
+        name = f"{area}_compare_category.json"
+        yield name, ["compare", *common, "--by", "category", "--method", "anova",
+                     "--out", f"{out}/{name}"]
+        name = f"{area}_compare_library.json"
+        yield name, ["compare", *common, "--by", "library", "--method", "kw",
+                     "--out", f"{out}/{name}"]
+        name = f"{area}_correlate.json"
+        yield name, ["correlate", *common, "--vars", correlate_vars, "--out", f"{out}/{name}"]
+        for mode in ("empirical", "fixed"):
+            name = f"{area}_classify_{mode}.csv"
+            yield name, ["classify", *common, "--quartile-mode", mode, "--out", f"{out}/{name}"]
+    for mode in ("empirical", "fixed"):
+        name = f"all_classify_{mode}.csv"
+        yield name, ["classify", "--corpus", corpus, "--quartile-mode", mode,
+                     "--out", f"{out}/{name}"]
+
+
+def test_benchmark_tracer_still_finds_the_area_pass(tmp_path):
+    """``bench/run.py --trace 1`` wraps library functions by module attribute
+    (``bench/spans.py``); renaming one away breaks it, so check the two whose
+    call counts it reports for every analysis command."""
+    tracer = _bench_module("spans").Tracer("tier1")
+    tracer.begin_pass()
+    common = ["--corpus", str(BUNDLED_CORPUS), "--area", "ciencias"]
+    try:
+        tracer.install()
+        assert main(["classify", *common, "--out", str(tmp_path / "table.csv")]) == 0
+        assert main(["compare", *common, "--by", "category", "--out", str(tmp_path / "c.json")]) == 0
+    finally:
+        tracer.uninstall()
+    calls = {name: count for name, (_, count) in tracer.self_times(0).items()}
+    assert calls["corpus.filter_by_area"] == 2
+    assert calls["indicators.corpus_indicator_sets"] == 2
+    assert calls["analysis.compare_groups"] == 1
+
+
+#: sha256 of each output of ``_two_area_commands`` on the seed-3 two-area
+#: corpus below, recorded before analyses took indicator pairs instead of a
+#: corpus. ``factor`` and ``regress`` are left out: their trailing digits
+#: depend on the numpy/BLAS build.
+TWO_AREA_DIGESTS = {
+    "ciencias_indicators_ratios.csv": "fbdf580f9dd910f0984338e8e3b944469aed4ab350df4bd3ed8728ff85c591c8",
+    "ciencias_indicators_pooled.csv": "42f0313d1b435b4b048b4281cd1c988f4298b62ca5f0d910f761c91595a3a7f8",
+    "ciencias_compare_category.json": "8a5b0275774c93292b7a98e737ce94ff63d141507ad6891042d6c72bee7dc4d0",
+    "ciencias_compare_library.json": "eaeaea34cfcb05dbbbdcf1c90b368211abd3ae3c9c06bcba28624a7015ae6aad",
+    "ciencias_correlate.json": "d9cb08006c5eb7387d38007d28f4bfe8264a0f2dbe7eb189d6ad1152c579afe4",
+    "ciencias_classify_empirical.csv": "be795e93cc78e35d2f36156970d9fc31c252078c906f61eef8c77df6a3d876c6",
+    "ciencias_classify_fixed.csv": "2d637f98c3850f8d0dfeb4eebe2d7162c60d58050907a6e938f156400b1f3ea2",
+    "sociales_indicators_ratios.csv": "a865d928e0ebade6133f5cc813dbd1759de94622ac624dca28ef80eee427063b",
+    "sociales_indicators_pooled.csv": "f0aab1edb0f4275fe13ae64ec103dc5c27e0207913a4af56ee59193ac283786c",
+    "sociales_compare_category.json": "9f42df4c4464309cbb994af00b8a6ee3f006967872e3836b5b55eaadeaf1dcb4",
+    "sociales_compare_library.json": "3a2cf08cfe903a626982f7691cd4d2d176f1f35babe6e75f7e40ea43fb466d27",
+    "sociales_correlate.json": "16e5d2d6bf9e61621ff4cf65935b4ef568a287493fa6df372390bf6465fbd7f4",
+    "sociales_classify_empirical.csv": "efdc408e9ebbf8c2de706b87600a916c5385a3d0def4aa30dca9b8ed4d0cffae",
+    "sociales_classify_fixed.csv": "2f8d2b4d3a4e7b0e5f45e18e378eb67a89007d4cf00f62118921dd64c9766192",
+    "all_classify_empirical.csv": "b193545b40691b555b42ad87189a490a5f0ed4b7634197fb0126157a8adc5ce5",
+    "all_classify_fixed.csv": "5458f06d591423c3bb57aa84637e91587db0fee788dca4ae3c13018e5b1107c2",
+}
+
+
+def test_two_area_outputs_keep_their_bytes(tmp_path):
+    _bench_module("workloads").write_corpus_input(3, tmp_path, journals=60, articles=(5, 20))
+    digests = {}
+    for name, argv in _two_area_commands(str(tmp_path / "corpus.json"), str(tmp_path)):
+        assert main(argv) == 0, argv
+        digests[name] = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    assert digests == TWO_AREA_DIGESTS

@@ -96,7 +96,7 @@ def _two_area_corpus():
 def test_filter_by_area_keeps_matching_journals_and_articles():
     corpus = _two_area_corpus()
     ciencias = filter_by_area(corpus, Area.CIENCIAS)
-    assert ciencias.journal_ids() == ("a1", "a2")
+    assert [j.journal_id for j in ciencias.journals] == ["a1", "a2"]
     assert {a.journal_id for a in ciencias.articles} == {"a1", "a2"}
     assert set(ciencias.ibnp_totals) == {"a1", "a2"}
     assert ciencias.window == corpus.window
@@ -113,8 +113,8 @@ def test_area_filters_partition_the_corpus():
     corpus = _two_area_corpus()
     ciencias = filter_by_area(corpus, Area.CIENCIAS)
     sociales = filter_by_area(corpus, Area.CIENCIAS_SOCIALES)
-    assert set(ciencias.journal_ids()) | set(sociales.journal_ids()) == set(corpus.journal_ids())
-    assert set(ciencias.journal_ids()) & set(sociales.journal_ids()) == set()
+    assert set(ciencias.journals) | set(sociales.journals) == set(corpus.journals)
+    assert set(ciencias.journals) & set(sociales.journals) == set()
 
 
 def test_filter_by_area_is_idempotent():
