@@ -41,7 +41,6 @@ from .classify import (
     ClassificationRow,
     FIXED_BOUNDS,
     QuartileBounds,
-    QuartileMode,
     assign_quartiles,
     emit_report,
     empirical_bounds,

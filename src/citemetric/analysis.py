@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Callable, Mapping, Optional, Sequence, Tuple
 
@@ -277,21 +277,7 @@ def comparison_to_json(table: ComparisonTable) -> str:
         "alpha": table.alpha,
         "variables": list(table.tests.keys()),
         "rows": [
-            {
-                "label": row.label,
-                "n_journals": row.n_journals,
-                "total_articles": row.total_articles,
-                "total_articles_ga": row.total_articles_ga,
-                "total_cites": row.total_cites,
-                "mean_log10_cr": _finite(row.mean_log10_cr),
-                "sd_log10_cr": _finite(row.sd_log10_cr),
-                "mean_ca": _finite(row.mean_ca),
-                "sd_ca": _finite(row.sd_ca),
-                "mean_ratio_ba": _finite(row.mean_ratio_ba),
-                "sd_ratio_ba": _finite(row.sd_ratio_ba),
-                "mean_log10_air": _finite(row.mean_log10_air),
-                "mean_pi_ld": _finite(row.mean_pi_ld),
-            }
+            {f.name: _finite(getattr(row, f.name)) for f in fields(GroupSummary)}
             for row in table.rows
         ],
         "tests": {

@@ -7,7 +7,6 @@ import io
 import json
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
 from typing import Optional, Sequence, Tuple
 
 from .corpus import IbnpCategory, JournalRecord
@@ -15,15 +14,9 @@ from .errors import DomainError, MissingCpn
 from .indicators import IndicatorSet
 
 
-class QuartileMode(str, Enum):
-    EMPIRICAL = "empirical"
-    FIXED = "fixed"
-
-
 @dataclass(frozen=True)
 class QuartileBounds:
-    mode: QuartileMode
-    cuts: Tuple[int, int, int]  # h thresholds, non-increasing
+    cuts: Tuple[int, int, int]  # least h of quartiles 1, 2 and 3; non-increasing
 
     def __post_init__(self):
         q1, q2, q3 = self.cuts
@@ -31,8 +24,9 @@ class QuartileBounds:
             raise DomainError(f"quartile cuts must be non-increasing, got {self.cuts}")
 
 
-#: conventional integer cutoffs: quartile 1 above 3, then 3, 2, 1 and below
-FIXED_BOUNDS = QuartileBounds(mode=QuartileMode.FIXED, cuts=(3, 2, 1))
+#: conventional integer cutoffs: quartile 1 above 3, then 3, 2, 1 and below. As the
+#: least h of each quartile that is (4, 3, 2), the same rule only because h is an int
+FIXED_BOUNDS = QuartileBounds(cuts=(4, 3, 2))
 
 
 @dataclass(frozen=True)
@@ -72,7 +66,7 @@ def empirical_bounds(rows: Sequence[ClassificationRow]) -> QuartileBounds:
     n = len(rows)
     hs = [row.h for row in rows]  # already descending
     cuts = tuple(hs[math.ceil(n * f / 4) - 1] for f in (1, 2, 3))
-    return QuartileBounds(mode=QuartileMode.EMPIRICAL, cuts=cuts)
+    return QuartileBounds(cuts=cuts)
 
 
 def assign_quartiles(
@@ -82,25 +76,14 @@ def assign_quartiles(
     q1, q2, q3 = bounds.cuts
     out = []
     for row in rows:
-        if bounds.mode is QuartileMode.FIXED:
-            # integer h turns the open interval between 2 and 3 into 2 < h <= 3
-            if row.h > q1:
-                quartile = 1
-            elif row.h > q2:
-                quartile = 2
-            elif row.h > q3:
-                quartile = 3
-            else:
-                quartile = 4
+        if row.h >= q1:
+            quartile = 1
+        elif row.h >= q2:
+            quartile = 2
+        elif row.h >= q3:
+            quartile = 3
         else:
-            if row.h >= q1:
-                quartile = 1
-            elif row.h >= q2:
-                quartile = 2
-            elif row.h >= q3:
-                quartile = 3
-            else:
-                quartile = 4
+            quartile = 4
         out.append(replace(row, quartile=quartile))
     return out
 

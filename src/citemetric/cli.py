@@ -155,7 +155,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _run_ingest(args) -> None:
     window = _parse_window(args.window)
-    journals, totals = ingest.parse_registry(_read_bytes(args.registry))
+    journals = ingest.parse_registry(_read_bytes(args.registry))
     alias_map = ingest.parse_alias_file(_read_bytes(args.alias)) if args.alias else {}
     dedup_config = DedupConfig(
         window=window, title_threshold=args.title_threshold, alias_map=alias_map
@@ -170,7 +170,7 @@ def _run_ingest(args) -> None:
         records = ingest.parse_citation_export(_read_bytes(str(path)), journal_id)
         cleaned, _report = ingest.deduplicate(records, dedup_config)
         records_by_journal[journal_id] = cleaned
-    corpus = ingest.build_corpus(journals, totals, records_by_journal, window)
+    corpus = ingest.build_corpus(journals, records_by_journal, window)
     _write_atomic(args.out, ingest.corpus_to_json(corpus).encode("utf-8"))
 
 

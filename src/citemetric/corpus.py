@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Optional, Tuple
+from typing import Optional, Tuple
 
 DEFAULT_WINDOW: Tuple[int, int] = (2003, 2007)
 
@@ -58,6 +58,7 @@ class JournalRecord:
     title: str
     area: Area
     category: IbnpCategory
+    air_ibnp: int  # articles the registry counts for the journal
     memberships: frozenset = frozenset()  # of Library
 
 
@@ -90,8 +91,12 @@ class _ArticleRecordBuilder:
 class JournalCorpus:
     journals: Tuple[JournalRecord, ...]
     articles: Tuple[ArticleRecord, ...]
-    ibnp_totals: Mapping[str, int]
     window: Tuple[int, int] = DEFAULT_WINDOW
+
+
+def _row(index: int, article: ArticleRecord) -> str:
+    """Where a faulty article sits; formatted only on a fault, as most rows have none."""
+    return f"article row {index} (journal {article.journal_id!r})"
 
 
 def validate_corpus(corpus: JournalCorpus) -> list[str]:
@@ -109,23 +114,20 @@ def validate_corpus(corpus: JournalCorpus) -> list[str]:
             violations.append("journal with empty journal_id")
         if not journal.title.strip():
             violations.append(f"journal {journal.journal_id!r} has empty title")
-        if journal.journal_id not in corpus.ibnp_totals:
-            violations.append(f"journal {journal.journal_id!r} missing from ibnp_totals")
-        elif corpus.ibnp_totals[journal.journal_id] < 0:
+        if journal.air_ibnp < 0:
             violations.append(f"journal {journal.journal_id!r} has negative ibnp total")
 
     start, end = corpus.window
     for index, article in enumerate(corpus.articles):
-        where = f"article row {index} (journal {article.journal_id!r})"
         if article.journal_id not in seen:
-            violations.append(f"{where}: unknown journal_id {article.journal_id!r}")
+            violations.append(f"{_row(index, article)}: unknown journal_id {article.journal_id!r}")
         if article.cites < 0:
-            violations.append(f"{where}: negative cites")
+            violations.append(f"{_row(index, article)}: negative cites")
         if article.status is ArticleStatus.KEPT:
             if not article.title.strip():
-                violations.append(f"{where}: kept record with empty title")
+                violations.append(f"{_row(index, article)}: kept record with empty title")
             if article.year is None or not (start <= article.year <= end):
-                violations.append(f"{where}: kept record with year outside window")
+                violations.append(f"{_row(index, article)}: kept record with year outside window")
     return violations
 
 
@@ -136,6 +138,5 @@ def filter_by_area(corpus: JournalCorpus, area: Area) -> JournalCorpus:
     return JournalCorpus(
         journals=journals,
         articles=tuple(a for a in corpus.articles if a.journal_id in kept_ids),
-        ibnp_totals={k: v for k, v in corpus.ibnp_totals.items() if k in kept_ids},
         window=corpus.window,
     )

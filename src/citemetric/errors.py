@@ -15,7 +15,8 @@ class MalformedHeader(CitemetricError):
 
 
 class MalformedCorpus(CitemetricError):
-    """A corpus JSON document that does not have the shape corpus_to_json writes."""
+    """A corpus JSON document that does not have the shape corpus_to_json writes,
+    or whose data break a corpus invariant."""
 
 
 class BadCell(CitemetricError):

@@ -111,11 +111,10 @@ def log10_shifted(x: float, kind: str = "citations") -> float:
 
 
 def compute_indicator_set(
-    journal: JournalRecord,
-    records: Sequence[ArticleRecord],
-    air_ibnp: int,
+    journal: JournalRecord, records: Sequence[ArticleRecord]
 ) -> IndicatorSet:
     """Build the full per-journal indicator set from its visible records."""
+    air_ibnp = journal.air_ibnp
     if air_ibnp < 0:
         raise DomainError("registry production cannot be negative")
     air_ga = len(records)
@@ -210,14 +209,10 @@ def corpus_indicator_sets(
     for article in corpus.articles:
         if article.status in VISIBLE_STATUSES:
             visible.setdefault(article.journal_id, []).append(article)
-    pairs: list[Tuple[JournalRecord, IndicatorSet]] = []
-    for journal in corpus.journals:
-        indicator = compute_indicator_set(
-            journal,
-            visible.get(journal.journal_id, ()),
-            corpus.ibnp_totals[journal.journal_id],
-        )
-        pairs.append((journal, indicator))
+    pairs = [
+        (journal, compute_indicator_set(journal, visible.get(journal.journal_id, ())))
+        for journal in corpus.journals
+    ]
 
     by_area: dict[Area, list[IndicatorSet]] = {}
     for journal, indicator in pairs:

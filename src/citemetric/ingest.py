@@ -138,17 +138,18 @@ def _int_cell(row: RawRow, column: str, value: str, minimum: int = 0) -> int:
     return parsed
 
 
-def parse_registry(content) -> tuple[list[JournalRecord], dict[str, int]]:
-    """Parse the journal registry CSV into records plus per-journal totals."""
+def parse_registry(content) -> list[JournalRecord]:
+    """Parse the journal registry CSV into one record per row."""
     journals: list[JournalRecord] = []
-    totals: dict[str, int] = {}
+    seen: set[str] = set()
     for row in _read_rows(content, REGISTRY_HEADER):
         cells = dict(zip(REGISTRY_HEADER.split(","), row.fields))
         journal_id = cells["journal_id"].strip()
         if not journal_id:
             raise BadCell(row.line_number, "journal_id", "empty")
-        if journal_id in totals:
+        if journal_id in seen:
             raise DuplicateId(row.line_number, journal_id)
+        seen.add(journal_id)
         title = cells["title"].strip()
         if not title:
             raise BadCell(row.line_number, "title", "empty")
@@ -169,17 +170,17 @@ def parse_registry(content) -> tuple[list[JournalRecord], dict[str, int]]:
                 raise BadCell(row.line_number, column, f"flag must be 0 or 1, got {flag!r}")
             if flag == "1":
                 memberships.add(tag)
-        totals[journal_id] = _int_cell(row, "air_ibnp", cells["air_ibnp"])
         journals.append(
             JournalRecord(
                 journal_id=journal_id,
                 title=title,
                 area=area,
                 category=category,
+                air_ibnp=_int_cell(row, "air_ibnp", cells["air_ibnp"]),
                 memberships=frozenset(memberships),
             )
         )
-    return journals, totals
+    return journals
 
 
 def parse_citation_export(content, journal_id: str) -> list[ArticleRecord]:
@@ -227,17 +228,8 @@ def normalize_title(title: str) -> str:
 
 
 def levenshtein(a: str, b: str) -> int:
-    if len(a) < len(b):
-        a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        current = [i]
-        for j, cb in enumerate(b, start=1):
-            current.append(
-                min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + (ca != cb))
-            )
-        previous = current
-    return previous[-1]
+    # no distance exceeds the longer length, so a band that wide is exact
+    return _banded_levenshtein(a, b, max(len(a), len(b)))
 
 
 def title_similarity(a: str, b: str) -> float:
@@ -474,7 +466,6 @@ def deduplicate(
 
 def build_corpus(
     journals: Sequence[JournalRecord],
-    ibnp_totals: Mapping[str, int],
     records_by_journal: Mapping[str, Sequence[ArticleRecord]],
     window: Tuple[int, int],
 ) -> JournalCorpus:
@@ -489,7 +480,6 @@ def build_corpus(
     corpus = JournalCorpus(
         journals=tuple(journals),
         articles=tuple(articles),
-        ibnp_totals=dict(ibnp_totals),
         window=window,
     )
     violations = validate_corpus(corpus)
@@ -553,7 +543,7 @@ def corpus_to_json(corpus: JournalCorpus) -> str:
             }
             for a in corpus.articles
         ],
-        "ibnp_totals": {j.journal_id: corpus.ibnp_totals[j.journal_id] for j in corpus.journals},
+        "ibnp_totals": {j.journal_id: j.air_ibnp for j in corpus.journals},
     }
     return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
 
@@ -618,12 +608,13 @@ def corpus_from_json(content) -> JournalCorpus:
     title, year, cites, ibnp total or article text field of the wrong type,
     a journal without an ibnp total, or a window that is not two int years
     in order) raises :class:`MalformedCorpus` naming the section it was
-    found in.
+    found in. So does a well-formed document that :func:`validate_corpus`
+    finds fault with, naming its first violation.
     """
     doc = json.loads(_decode(content))
     with _section("journals"):
-        journals = tuple(
-            JournalRecord(
+        rows = [
+            (
                 j["journal_id"],
                 j["title"],
                 Area(j["area"]),
@@ -631,22 +622,24 @@ def corpus_from_json(content) -> JournalCorpus:
                 frozenset(Library(t) for t in j["memberships"]),
             )
             for j in doc["journals"]
-        )
-        for index, journal in enumerate(journals):
-            if type(journal.journal_id) is not str:
-                raise _scalar_fault(f"journal {index}", "journal_id", journal.journal_id, "str")
-            if type(journal.title) is not str:
-                raise _scalar_fault(f"journal {index}", "title", journal.title, "str")
+        ]
+        for index, (journal_id, title, *_) in enumerate(rows):
+            if type(journal_id) is not str:
+                raise _scalar_fault(f"journal {index}", "journal_id", journal_id, "str")
+            if type(title) is not str:
+                raise _scalar_fault(f"journal {index}", "title", title, "str")
     with _section("articles"):
         articles = _articles(doc["articles"])
     with _section("ibnp_totals"):
         totals = dict(doc["ibnp_totals"])
-        for journal in journals:
-            if journal.journal_id not in totals:
-                raise ValueError(f"no entry for journal {journal.journal_id!r}")
-            total = totals[journal.journal_id]
+        journals = []
+        for journal_id, title, area, category, memberships in rows:
+            if journal_id not in totals:
+                raise ValueError(f"no entry for journal {journal_id!r}")
+            total = totals[journal_id]
             if type(total) is not int:
-                raise _scalar_fault(f"journal {journal.journal_id!r}", "total", total, "int")
+                raise _scalar_fault(f"journal {journal_id!r}", "total", total, "int")
+            journals.append(JournalRecord(journal_id, title, area, category, total, memberships))
     with _section("window"):
         window = doc["window"]
         if type(window) is not list or len(window) != 2 or any(type(y) is not int for y in window):
@@ -654,4 +647,9 @@ def corpus_from_json(content) -> JournalCorpus:
         if window[0] > window[1]:
             raise ValueError(f"start {window[0]} is after end {window[1]}")
         window = tuple(window)
-    return JournalCorpus(journals=journals, articles=articles, ibnp_totals=totals, window=window)
+    corpus = JournalCorpus(journals=tuple(journals), articles=articles, window=window)
+    violations = validate_corpus(corpus)
+    if violations:
+        more = f" (and {len(violations) - 1} more)" if len(violations) > 1 else ""
+        raise MalformedCorpus(f"corpus JSON is invalid: {violations[0]}{more}")
+    return corpus

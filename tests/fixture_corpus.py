@@ -163,10 +163,10 @@ def write_fixture_tree(root: Path) -> tuple[Path, Path]:
 
 def build_fixture_corpus() -> JournalCorpus:
     """Assemble the corpus exactly as the ingest pipeline would."""
-    journals, totals = parse_registry(registry_csv())
+    journals = parse_registry(registry_csv())
     config = DedupConfig(window=WINDOW)
     records = {}
     for index, (journal_id, *_rest) in enumerate(all_journals()):
         parsed = parse_citation_export(export_csv(index), journal_id)
         records[journal_id], _report = deduplicate(parsed, config)
-    return build_corpus(journals, totals, records, WINDOW)
+    return build_corpus(journals, records, WINDOW)

@@ -36,7 +36,7 @@ from oracles import spearman_r_reference
 def make_pairs(specs):
     """Indicator pairs of a valid Ciencias corpus built from
     (journal_id, category, memberships, air, cites)."""
-    journals, totals, articles = [], {}, []
+    journals, articles = [], []
     for journal_id, category, memberships, air, cites in specs:
         journals.append(
             JournalRecord(
@@ -44,17 +44,17 @@ def make_pairs(specs):
                 title=f"REVISTA {journal_id.upper()}",
                 area=Area.CIENCIAS,
                 category=category,
+                air_ibnp=air,
                 memberships=frozenset(memberships),
             )
         )
-        totals[journal_id] = air
         for i, c in enumerate(cites):
             articles.append(
                 ArticleRecord(
                     journal_id=journal_id, title=f"{journal_id} articulo {i}", year=2005, cites=c
                 )
             )
-    corpus = JournalCorpus(journals=tuple(journals), articles=tuple(articles), ibnp_totals=totals)
+    corpus = JournalCorpus(journals=tuple(journals), articles=tuple(articles))
     return corpus_indicator_sets(corpus)
 
 

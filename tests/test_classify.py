@@ -8,7 +8,6 @@ from citemetric.classify import (
     FIXED_BOUNDS,
     ClassificationRow,
     QuartileBounds,
-    QuartileMode,
     assign_quartiles,
     emit_report,
     empirical_bounds,
@@ -121,7 +120,7 @@ def test_quartile_assignment_is_monotone_in_both_modes():
 
 def test_bounds_must_not_increase():
     with pytest.raises(DomainError):
-        QuartileBounds(mode=QuartileMode.FIXED, cuts=(1, 2, 3))
+        QuartileBounds(cuts=(1, 2, 3))
 
 
 # --- reports -------------------------------------------------------------------

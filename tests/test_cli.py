@@ -1,5 +1,7 @@
+import contextlib
 import hashlib
 import importlib
+import io
 import json
 import os
 import pathlib
@@ -7,6 +9,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from citemetric.cli import _parse_window, main
 from citemetric.errors import DomainError
@@ -308,6 +311,22 @@ def _number_url(doc):
     doc["articles"][3]["url"] = 3
 
 
+def _negative_cites(doc):
+    doc["articles"][3]["cites"] = -50
+
+
+def _article_of_no_journal(doc):
+    doc["articles"][3]["journal_id"] = "sci999"
+
+
+def _kept_row_dated_1900(doc):
+    doc["articles"][3]["year"] = 1900
+
+
+def _negative_ibnp_total(doc):
+    doc["ibnp_totals"]["sci001"] = -5
+
+
 @pytest.mark.parametrize(
     "damage, says",
     [
@@ -330,6 +349,10 @@ def _number_url(doc):
         (_null_kept_title, "articles: article 0: title is NoneType, not str"),
         (_number_journal_title, "journals: journal 0: title is int, not str"),
         (_number_url, "articles: article 3: url is int, not str"),
+        (_negative_cites, "is invalid: article row 3 (journal 'sci001'): negative cites"),
+        (_article_of_no_journal, "article row 3 (journal 'sci999'): unknown journal_id 'sci999'"),
+        (_kept_row_dated_1900, "article row 3 (journal 'sci001'): kept record with year outside"),
+        (_negative_ibnp_total, "is invalid: journal 'sci001' has negative ibnp total"),
     ],
 )
 def test_malformed_corpus_json_is_a_one_line_data_error(tmp_path, capsys, damage, says):
@@ -344,6 +367,47 @@ def test_malformed_corpus_json_is_a_one_line_data_error(tmp_path, capsys, damage
     assert says in err
     assert len(err.splitlines()) == 1
     assert not out.exists()
+
+
+def _scalar_paths(node, path=()):
+    """Key paths to every scalar (not list, not object) of a JSON document."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        yield path
+        return
+    for key, child in children:
+        yield from _scalar_paths(child, path + (key,))
+
+
+_BUNDLED_TEXT = BUNDLED_CORPUS.read_text(encoding="utf-8")
+_BUNDLED_SCALARS = list(_scalar_paths(json.loads(_BUNDLED_TEXT)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    path=st.sampled_from(_BUNDLED_SCALARS),
+    value=st.sampled_from([None, -1, 1900, "", "x", True, [], {}]),
+)
+def test_any_one_damaged_corpus_scalar_is_a_clean_exit(tmp_path_factory, path, value):
+    doc = json.loads(_BUNDLED_TEXT)
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    root = tmp_path_factory.mktemp("fuzz")
+    corpus = root / "corpus.json"
+    corpus.write_text(json.dumps(doc), encoding="utf-8")
+    for command in (["classify"], ["indicators", "--area", "ciencias"]):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([*command, "--corpus", str(corpus), "--out", str(root / "out")])
+        assert code in (0, 1)
+        if code == 1:
+            assert len(err.getvalue().splitlines()) == 1
 
 
 _NUMPY_PROBE = """

@@ -15,12 +15,15 @@ from citemetric.corpus import (
 )
 
 
-def _journal(journal_id="j1", title="Revista Uno", area=Area.CIENCIAS, category=IbnpCategory.A2):
+def _journal(
+    journal_id="j1", title="Revista Uno", area=Area.CIENCIAS, category=IbnpCategory.A2, air_ibnp=10
+):
     return JournalRecord(
         journal_id=journal_id,
         title=title,
         area=area,
         category=category,
+        air_ibnp=air_ibnp,
         memberships=frozenset({Library.GOOGLE_SCHOLAR}),
     )
 
@@ -30,12 +33,12 @@ def _article(journal_id="j1", title="Nota", year=2005, cites=1, status=ArticleSt
 
 
 def test_single_journal_no_articles_is_valid():
-    corpus = JournalCorpus(journals=(_journal(),), articles=(), ibnp_totals={"j1": 10})
+    corpus = JournalCorpus(journals=(_journal(),), articles=())
     assert validate_corpus(corpus) == []
 
 
 def test_empty_corpus_is_valid():
-    corpus = JournalCorpus(journals=(), articles=(), ibnp_totals={})
+    corpus = JournalCorpus(journals=(), articles=())
     assert validate_corpus(corpus) == []
 
 
@@ -43,7 +46,6 @@ def test_unknown_journal_reference_is_reported():
     corpus = JournalCorpus(
         journals=(_journal(),),
         articles=(_article(journal_id="X9"),),
-        ibnp_totals={"j1": 10},
     )
     violations = validate_corpus(corpus)
     assert len(violations) == 1
@@ -54,7 +56,6 @@ def test_duplicate_journal_id_is_reported():
     corpus = JournalCorpus(
         journals=(_journal(), _journal(title="Revista Dos")),
         articles=(),
-        ibnp_totals={"j1": 10},
     )
     violations = validate_corpus(corpus)
     assert len(violations) == 1
@@ -70,15 +71,14 @@ def test_kept_article_needs_title_and_year_in_window():
             _article(year=1999),
             _article(year=2008, status=ArticleStatus.DROPPED_INCOMPLETE),
         ),
-        ibnp_totals={"j1": 10},
     )
     violations = validate_corpus(corpus)
     assert len(violations) == 3  # the dropped record is exempt
 
 
-def test_missing_ibnp_total_is_reported():
-    corpus = JournalCorpus(journals=(_journal(),), articles=(), ibnp_totals={})
-    assert any("ibnp_totals" in v for v in validate_corpus(corpus))
+def test_negative_ibnp_total_is_reported():
+    corpus = JournalCorpus(journals=(_journal(air_ibnp=-1),), articles=())
+    assert validate_corpus(corpus) == ["journal 'j1' has negative ibnp total"]
 
 
 def _two_area_corpus():
@@ -88,9 +88,7 @@ def _two_area_corpus():
         _journal("b1", "Sociales Uno", area=Area.CIENCIAS_SOCIALES),
     )
     articles = (_article("a1"), _article("b1"), _article("a2"))
-    return JournalCorpus(
-        journals=journals, articles=articles, ibnp_totals={"a1": 5, "a2": 5, "b1": 5}
-    )
+    return JournalCorpus(journals=journals, articles=articles)
 
 
 def test_filter_by_area_keeps_matching_journals_and_articles():
@@ -98,12 +96,11 @@ def test_filter_by_area_keeps_matching_journals_and_articles():
     ciencias = filter_by_area(corpus, Area.CIENCIAS)
     assert [j.journal_id for j in ciencias.journals] == ["a1", "a2"]
     assert {a.journal_id for a in ciencias.articles} == {"a1", "a2"}
-    assert set(ciencias.ibnp_totals) == {"a1", "a2"}
     assert ciencias.window == corpus.window
 
 
 def test_filter_by_area_empty_result():
-    corpus = JournalCorpus(journals=(_journal(),), articles=(), ibnp_totals={"j1": 1})
+    corpus = JournalCorpus(journals=(_journal(),), articles=())
     sociales = filter_by_area(corpus, Area.CIENCIAS_SOCIALES)
     assert sociales.journals == ()
     assert sociales.articles == ()

@@ -18,7 +18,7 @@ from citemetric.ingest import (
     parse_citation_export,
     title_similarity,
 )
-from oracles import deduplicate_reference
+from oracles import deduplicate_reference, levenshtein_reference
 
 CONFIG = DedupConfig(window=(2003, 2007))
 
@@ -258,12 +258,17 @@ def test_edit_budget_is_the_largest_distance_the_threshold_allows(threshold):
 
 @given(st.text(alphabet="abc ", max_size=14), st.text(alphabet="abc ", max_size=14), st.integers(0, 6))
 def test_banded_levenshtein_is_exact_within_its_band(a, b, k):
-    distance = levenshtein(a, b)
+    distance = levenshtein_reference(a, b)
     banded = _banded_levenshtein(a, b, k)
     if distance <= k:
         assert banded == distance
     else:
         assert banded > k
+
+
+@given(st.text(alphabet="abc ", max_size=20), st.text(alphabet="abc ", max_size=20))
+def test_levenshtein_matches_the_reference(a, b):
+    assert levenshtein(a, b) == levenshtein_reference(a, b)
 
 
 @st.composite

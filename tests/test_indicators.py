@@ -39,6 +39,7 @@ def _journal(**kwargs):
         title="Revista Uno",
         area=Area.CIENCIAS,
         category=IbnpCategory.A2,
+        air_ibnp=10,
         memberships=frozenset({Library.GOOGLE_SCHOLAR}),
     )
     base.update(kwargs)
@@ -145,7 +146,7 @@ def test_log10_shifted_citation_mode_is_monotone_from_zero():
 
 def test_compute_indicator_set_quotients():
     records = _records([25])
-    indicator = compute_indicator_set(_journal(), records, air_ibnp=50)
+    indicator = compute_indicator_set(_journal(air_ibnp=50), records)
     assert indicator.ca_mean == pytest.approx(0.5)
     assert indicator.air_ga == 1
     assert indicator.cr_ga == 25
@@ -153,13 +154,13 @@ def test_compute_indicator_set_quotients():
 
 def test_compute_indicator_set_visibility_ratio():
     records = _records([0] * 480)
-    indicator = compute_indicator_set(_journal(), records, air_ibnp=1157)
+    indicator = compute_indicator_set(_journal(air_ibnp=1157), records)
     assert indicator.visibility_ratio == pytest.approx(480 / 1157)
     assert f"{indicator.visibility_ratio:.4f}" == "0.4149"
 
 
 def test_compute_indicator_set_zero_records():
-    indicator = compute_indicator_set(_journal(), [], air_ibnp=10)
+    indicator = compute_indicator_set(_journal(air_ibnp=10), [])
     assert indicator.air_ga == 0
     assert indicator.cr_ga == 0
     assert indicator.h == 0
@@ -167,14 +168,14 @@ def test_compute_indicator_set_zero_records():
 
 
 def test_compute_indicator_set_zero_production_leaves_quotients_undefined():
-    indicator = compute_indicator_set(_journal(), _records([3]), air_ibnp=0)
+    indicator = compute_indicator_set(_journal(air_ibnp=0), _records([3]))
     assert indicator.ca_mean is None
     assert indicator.visibility_ratio is None
 
 
 @given(st.lists(st.integers(min_value=0, max_value=40), max_size=30))
 def test_indicator_set_h_bounds(cites):
-    indicator = compute_indicator_set(_journal(), _records(cites), air_ibnp=100)
+    indicator = compute_indicator_set(_journal(air_ibnp=100), _records(cites))
     assert indicator.h <= indicator.air_ga
     assert indicator.h <= max(cites, default=0)
 
@@ -335,8 +336,7 @@ def test_corpus_indicator_sets_match_a_per_journal_scan():
             for a in corpus.articles
             if a.journal_id == journal.journal_id and a.status in VISIBLE_STATUSES
         ]
-        total = corpus.ibnp_totals[journal.journal_id]
-        expected.append((journal, compute_indicator_set(journal, visible, total)))
+        expected.append((journal, compute_indicator_set(journal, visible)))
     areas = {journal.area for journal, _ in expected}
     stats = {a: area_mean_citation([s for j, s in expected if j.area is a]) for a in areas}
     expected = [(j, replace(s, cpn=cpn(s, stats[j.area]))) for j, s in expected]
@@ -347,8 +347,8 @@ def test_corpus_indicator_sets_match_a_per_journal_scan():
 
 
 def test_indicators_csv_header_and_rendering():
-    journal = _journal()
-    indicator = compute_indicator_set(journal, _records([25]), air_ibnp=50)
+    journal = _journal(air_ibnp=50)
+    indicator = compute_indicator_set(journal, _records([25]))
     text = indicators_csv([(journal, indicator)])
     lines = text.splitlines()
     assert lines[0] == INDICATOR_CSV_HEADER
@@ -361,8 +361,8 @@ def test_indicators_csv_header_and_rendering():
 
 
 def test_indicators_csv_undefined_quotients_render_empty():
-    journal = _journal()
-    indicator = compute_indicator_set(journal, _records([3]), air_ibnp=0)
+    journal = _journal(air_ibnp=0)
+    indicator = compute_indicator_set(journal, _records([3]))
     lines = indicators_csv([(journal, indicator)]).splitlines()
     cells = lines[1].split(",")
     assert cells[6] == "" and cells[8] == ""

@@ -30,15 +30,15 @@ EXPORT_HEADER = "cites,authors,title,year,publication,publisher,url"
 
 def test_parse_registry_maps_fields_directly():
     content = REGISTRY_HEADER + "\nj1,Colombia Médica,Ciencias,A2,1000,0,1,0,1,1\n"
-    journals, totals = parse_registry(content)
+    journals = parse_registry(content)
     assert len(journals) == 1
     journal = journals[0]
     assert journal.journal_id == "j1"
     assert journal.title == "Colombia Médica"
     assert journal.area is Area.CIENCIAS
     assert journal.category is IbnpCategory.A2
+    assert journal.air_ibnp == 1000
     assert journal.memberships == frozenset({Library.SCOPUS, Library.SCIELO, Library.GOOGLE_SCHOLAR})
-    assert totals == {"j1": 1000}
 
 
 def test_parse_registry_rejects_unknown_category():
@@ -84,7 +84,7 @@ def _two_area_registry() -> str:
 
 
 def test_registry_area_and_category_counts():
-    journals, totals = parse_registry(_two_area_registry())
+    journals = parse_registry(_two_area_registry())
     assert len(journals) == 209
     ciencias = [j for j in journals if j.area is Area.CIENCIAS]
     assert len(ciencias) == 111
@@ -142,15 +142,15 @@ def test_bad_cell_after_a_multi_line_cell_names_its_physical_line():
 
 
 def test_build_corpus_rejects_unknown_journal():
-    journals, totals = parse_registry(REGISTRY_HEADER + "\nj1,Revista,Ciencias,B,10,0,0,0,0,1\n")
+    journals = parse_registry(REGISTRY_HEADER + "\nj1,Revista,Ciencias,B,10,0,0,0,0,1\n")
     records = parse_citation_export(EXPORT_HEADER + "\n1,,Nota,2004,,,\n", "zz")
     with pytest.raises(UnknownJournal):
-        build_corpus(journals, totals, {"zz": records}, (2003, 2007))
+        build_corpus(journals, {"zz": records}, (2003, 2007))
 
 
 def test_build_corpus_empty_records_is_valid():
-    journals, totals = parse_registry(REGISTRY_HEADER + "\nj1,Revista,Ciencias,B,10,0,0,0,0,1\n")
-    corpus = build_corpus(journals, totals, {}, (2003, 2007))
+    journals = parse_registry(REGISTRY_HEADER + "\nj1,Revista,Ciencias,B,10,0,0,0,0,1\n")
+    corpus = build_corpus(journals, {}, (2003, 2007))
     assert validate_corpus(corpus) == []
 
 
@@ -166,7 +166,7 @@ def _every_status_corpus():
         ArticleRecord(second, "Clima tropical", 2006, 2, "", "", "", "", ArticleStatus.NEEDS_REVIEW),
         ArticleRecord(second, "Tropical weather", 2006, 2, status=ArticleStatus.NEEDS_REVIEW),
     )
-    return JournalCorpus(fixture.journals, articles, fixture.ibnp_totals, fixture.window)
+    return JournalCorpus(fixture.journals, articles, fixture.window)
 
 
 def test_corpus_json_round_trip():
