@@ -87,7 +87,8 @@ def _read_bytes(path: str) -> bytes:
 
 def _area_pairs(args, mean_mode: str = "ratios"):
     """Load --corpus, keep --area's journals if one is given, and compute indicators."""
-    corpus = ingest.corpus_from_json(_read_bytes(args.corpus))
+    # decoded here, so the file's bytes are freed before the parse starts
+    corpus = ingest.corpus_from_json(_read_bytes(args.corpus).decode("utf-8-sig"))
     if args.area:
         corpus = filter_by_area(corpus, _AREAS[args.area])
     return indicators.corpus_indicator_sets(corpus, mean_mode=mean_mode)

@@ -552,52 +552,59 @@ def _scalar_fault(where: str, name: str, value, expected: str) -> TypeError:
     return TypeError(f"{where}: {name} is {type(value).__name__}, not {expected}")
 
 
-def _articles(rows) -> Tuple[ArticleRecord, ...]:
-    """Build the article records of a corpus JSON document.
+def _article(a, index) -> ArticleRecord:
+    """Build one article record of a corpus JSON document, checking its fields.
 
-    Each record is an :class:`_ArticleRecordBuilder` filled with plain slot
+    The record is an :class:`_ArticleRecordBuilder` filled with plain slot
     stores and then given its class; see the note above the record classes
     in :mod:`citemetric.corpus`.
     ``type(...) is int`` refuses ``bool``, which is an ``int`` subclass.
     """
-    articles = []
-    for index, a in enumerate(rows):
-        journal_id, year, cites = a["journal_id"], a["year"], a["cites"]
-        title = a["title"]
-        authors = a.get("authors", "")
-        publication = a.get("publication", "")
-        publisher = a.get("publisher", "")
-        url = a.get("url", "")
-        if type(journal_id) is not str:
-            raise _scalar_fault(f"article {index}", "journal_id", journal_id, "str")
-        if type(cites) is not int:
-            raise _scalar_fault(f"article {index}", "cites", cites, "int")
-        if year is not None and type(year) is not int:
-            raise _scalar_fault(f"article {index}", "year", year, "int or null")
-        if type(title) is not str:
-            raise _scalar_fault(f"article {index}", "title", title, "str")
-        if type(authors) is not str:
-            raise _scalar_fault(f"article {index}", "authors", authors, "str")
-        if type(publication) is not str:
-            raise _scalar_fault(f"article {index}", "publication", publication, "str")
-        if type(publisher) is not str:
-            raise _scalar_fault(f"article {index}", "publisher", publisher, "str")
-        if type(url) is not str:
-            raise _scalar_fault(f"article {index}", "url", url, "str")
-        record = _ArticleRecordBuilder()
-        record.journal_id = journal_id
-        record.title = title
-        record.year = year
-        record.cites = cites
-        record.authors = authors
-        record.publication = publication
-        record.publisher = publisher
-        record.url = url
-        record.status = _STATUS_BY_VALUE[a["status"]]
-        record.line_number = None
-        record.__class__ = ArticleRecord
-        articles.append(record)
-    return tuple(articles)
+    journal_id, year, cites = a["journal_id"], a["year"], a["cites"]
+    title = a["title"]
+    authors = a.get("authors", "")
+    publication = a.get("publication", "")
+    publisher = a.get("publisher", "")
+    url = a.get("url", "")
+    if type(journal_id) is not str:
+        raise _scalar_fault(f"article {index}", "journal_id", journal_id, "str")
+    if type(cites) is not int:
+        raise _scalar_fault(f"article {index}", "cites", cites, "int")
+    if year is not None and type(year) is not int:
+        raise _scalar_fault(f"article {index}", "year", year, "int or null")
+    if type(title) is not str:
+        raise _scalar_fault(f"article {index}", "title", title, "str")
+    if type(authors) is not str:
+        raise _scalar_fault(f"article {index}", "authors", authors, "str")
+    if type(publication) is not str:
+        raise _scalar_fault(f"article {index}", "publication", publication, "str")
+    if type(publisher) is not str:
+        raise _scalar_fault(f"article {index}", "publisher", publisher, "str")
+    if type(url) is not str:
+        raise _scalar_fault(f"article {index}", "url", url, "str")
+    record = _ArticleRecordBuilder()
+    record.journal_id = journal_id
+    record.title = title
+    record.year = year
+    record.cites = cites
+    record.authors = authors
+    record.publication = publication
+    record.publisher = publisher
+    record.url = url
+    record.status = _STATUS_BY_VALUE[a["status"]]
+    record.line_number = None
+    record.__class__ = ArticleRecord
+    return record
+
+
+def _article_or_object(obj: dict):
+    """The corpus parser's object_hook: a well-formed article becomes its
+    record. Any other object (a journal, ibnp_totals, the document, a faulty
+    article) comes back unchanged, and the articles section reports faults."""
+    try:
+        return _article(obj, None)
+    except (KeyError, TypeError, ValueError):
+        return obj
 
 
 def corpus_from_json(content) -> JournalCorpus:
@@ -610,8 +617,13 @@ def corpus_from_json(content) -> JournalCorpus:
     in order) raises :class:`MalformedCorpus` naming the section it was
     found in. So does a well-formed document that :func:`validate_corpus`
     finds fault with, naming its first violation.
+
+    ``content`` is the document's text or its UTF-8 bytes; given text, the
+    caller can free the bytes before the parse. Each article becomes its
+    record as soon as the parser has read it, so the parsed objects of a
+    large corpus never exist all at once.
     """
-    doc = json.loads(_decode(content))
+    doc = json.loads(_decode(content), object_hook=_article_or_object)
     with _section("journals"):
         rows = [
             (
@@ -629,7 +641,14 @@ def corpus_from_json(content) -> JournalCorpus:
             if type(title) is not str:
                 raise _scalar_fault(f"journal {index}", "title", title, "str")
     with _section("articles"):
-        articles = _articles(doc["articles"])
+        # the hook built the well-formed articles; building any other entry
+        # again raises its fault, named by its index
+        articles = tuple(
+            [
+                a if type(a) is ArticleRecord else _article(a, index)
+                for index, a in enumerate(doc["articles"])
+            ]
+        )
     with _section("ibnp_totals"):
         totals = dict(doc["ibnp_totals"])
         journals = []

@@ -10,7 +10,9 @@ the per-journal exports, and the assembled corpus are byte-reproducible.
 from __future__ import annotations
 
 import csv
+import importlib
 import io
+import sys
 from pathlib import Path
 
 from citemetric.corpus import JournalCorpus
@@ -170,3 +172,11 @@ def build_fixture_corpus() -> JournalCorpus:
         parsed = parse_citation_export(export_csv(index), journal_id)
         records[journal_id], _report = deduplicate(parsed, config)
     return build_corpus(journals, records, WINDOW)
+
+
+def bench_module(name: str):
+    """Import one of the benchmark's modules from ``bench/`` at the repo root."""
+    bench = str(Path(__file__).parent.parent / "bench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    return importlib.import_module(name)

@@ -1,19 +1,19 @@
 import contextlib
 import hashlib
-import importlib
 import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from citemetric.cli import _parse_window, main
 from citemetric.errors import DomainError
-from fixture_corpus import write_fixture_tree
+from fixture_corpus import bench_module, write_fixture_tree
 
 REPO = pathlib.Path(__file__).parent.parent
 BUNDLED_CORPUS = REPO / "fixtures" / "ciencias_table7.json"
@@ -327,6 +327,20 @@ def _negative_ibnp_total(doc):
     doc["ibnp_totals"]["sci001"] = -5
 
 
+def _object_authors(doc):
+    doc["articles"][3]["authors"] = {}
+
+
+def _article_among_journals(doc):
+    doc["journals"][0] = dict(doc["articles"][0])
+
+
+def _bare_article_document(doc):
+    article = doc["articles"][0]
+    doc.clear()
+    doc.update(article)
+
+
 @pytest.mark.parametrize(
     "damage, says",
     [
@@ -353,6 +367,11 @@ def _negative_ibnp_total(doc):
         (_article_of_no_journal, "article row 3 (journal 'sci999'): unknown journal_id 'sci999'"),
         (_kept_row_dated_1900, "article row 3 (journal 'sci001'): kept record with year outside"),
         (_negative_ibnp_total, "is invalid: journal 'sci001' has negative ibnp total"),
+        (_object_authors, "articles: article 3: authors is dict, not str"),
+        # the loader builds article records while it parses, so an article
+        # where a journal or the document belongs is refused as one
+        (_article_among_journals, "journals: "),
+        (_bare_article_document, "journals: "),
     ],
 )
 def test_malformed_corpus_json_is_a_one_line_data_error(tmp_path, capsys, damage, says):
@@ -367,6 +386,27 @@ def test_malformed_corpus_json_is_a_one_line_data_error(tmp_path, capsys, damage
     assert says in err
     assert len(err.splitlines()) == 1
     assert not out.exists()
+
+
+def test_journal_ids_named_like_article_keys_load(tmp_path):
+    """ibnp_totals is keyed by journal id, so these ids make it look like an
+    article object; it must load as totals all the same."""
+    doc = json.loads(BUNDLED_CORPUS.read_text(encoding="utf-8"))
+    renamed = dict(zip(doc["ibnp_totals"], ["journal_id", "title", "year", "cites", "status"]))
+    for journal in doc["journals"]:
+        journal["journal_id"] = renamed.get(journal["journal_id"], journal["journal_id"])
+    for article in doc["articles"]:
+        article["journal_id"] = renamed.get(article["journal_id"], article["journal_id"])
+    doc["ibnp_totals"] = {renamed.get(k, k): v for k, v in doc["ibnp_totals"].items()}
+    assert set(renamed.values()) <= doc["ibnp_totals"].keys()
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps(doc), encoding="utf-8")
+    outputs = []
+    for source in (BUNDLED_CORPUS, corpus):
+        out = tmp_path / f"{len(outputs)}.csv"
+        assert main(["classify", "--corpus", str(source), "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def _scalar_paths(node, path=()):
@@ -466,17 +506,9 @@ def test_inputs_are_never_mutated(tmp_path):
     assert record_file.read_bytes() == record_before
 
 
-def _bench_module(name):
-    """Import one of the benchmark's modules from ``bench/`` at the repo root."""
-    bench = str(REPO / "bench")
-    if bench not in sys.path:
-        sys.path.insert(0, bench)
-    return importlib.import_module(name)
-
-
 def _two_area_commands(corpus, out):
     """(output name, argv) for every analysis run the digest table covers."""
-    correlate_vars = _bench_module("workloads").CORRELATE_VARS
+    correlate_vars = bench_module("workloads").CORRELATE_VARS
     for area in ("ciencias", "sociales"):
         common = ["--corpus", corpus, "--area", area]
         for mean in ("ratios", "pooled"):
@@ -503,7 +535,7 @@ def test_benchmark_tracer_still_finds_the_area_pass(tmp_path):
     """``bench/run.py --trace 1`` wraps library functions by module attribute
     (``bench/spans.py``); renaming one away breaks it, so check the two whose
     call counts it reports for every analysis command."""
-    tracer = _bench_module("spans").Tracer("tier1")
+    tracer = bench_module("spans").Tracer("tier1")
     tracer.begin_pass()
     common = ["--corpus", str(BUNDLED_CORPUS), "--area", "ciencias"]
     try:
@@ -543,9 +575,27 @@ TWO_AREA_DIGESTS = {
 
 
 def test_two_area_outputs_keep_their_bytes(tmp_path):
-    _bench_module("workloads").write_corpus_input(3, tmp_path, journals=60, articles=(5, 20))
+    bench_module("workloads").write_corpus_input(3, tmp_path, journals=60, articles=(5, 20))
     digests = {}
     for name, argv in _two_area_commands(str(tmp_path / "corpus.json"), str(tmp_path)):
         assert main(argv) == 0, argv
         digests[name] = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
     assert digests == TWO_AREA_DIGESTS
+
+
+def test_analysis_command_holds_one_copy_of_the_corpus(tmp_path):
+    """The file's bytes are freed before the parse, and the parsed articles
+    never all exist beside their records; holding both took the peak to
+    ~4.6x the file's size."""
+    bench_module("workloads").write_corpus_input(3, tmp_path, journals=60, articles=(20, 60))
+    corpus = tmp_path / "corpus.json"
+    argv = ["classify", "--corpus", str(corpus), "--out", str(tmp_path / "table.csv")]
+    assert main(argv) == 0  # first-call costs (caches, lazy imports) are not the load's
+    tracemalloc.start()
+    try:
+        baseline, _ = tracemalloc.get_traced_memory()
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - baseline < 3.5 * corpus.stat().st_size

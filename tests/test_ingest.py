@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import pytest
 
@@ -23,7 +24,7 @@ from citemetric.ingest import (
     parse_citation_export,
     parse_registry,
 )
-from fixture_corpus import build_fixture_corpus
+from fixture_corpus import bench_module, build_fixture_corpus
 
 EXPORT_HEADER = "cites,authors,title,year,publication,publisher,url"
 
@@ -234,3 +235,20 @@ def test_fixture_corpus_matches_bundled_file():
 
     bundled = pathlib.Path(__file__).parent.parent / "fixtures" / "ciencias_table7.json"
     assert corpus_to_json(build_fixture_corpus()) == bundled.read_text(encoding="utf-8")
+
+
+def test_loading_corpus_text_holds_no_parsed_copy(tmp_path):
+    """Each article becomes its record as the parser reads it, so the load
+    needs little memory beyond its text and the corpus it returns; parsing
+    whole and then building records held every article twice, ~1.1x the
+    text's length on top of the corpus."""
+    bench_module("workloads").write_corpus_input(3, tmp_path, journals=60, articles=(20, 60))
+    text = (tmp_path / "corpus.json").read_text(encoding="utf-8")
+    tracemalloc.start()
+    try:
+        corpus = corpus_from_json(text)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(corpus.articles) == 2400
+    assert peak - retained < 0.25 * len(text)
