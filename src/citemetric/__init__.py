@@ -40,7 +40,6 @@ from .ingest import (
 from .classify import (
     ClassificationRow,
     FIXED_BOUNDS,
-    QuartileBounds,
     assign_quartiles,
     emit_report,
     empirical_bounds,

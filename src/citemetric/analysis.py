@@ -28,7 +28,6 @@ from .indicators import (
 )
 from .statkit import (
     FactorResult,
-    HomogeneousGroups,
     RegressionResult,
     TestResult,
     anova_oneway,
@@ -76,7 +75,7 @@ class ComparisonTable:
     area: Area
     rows: Tuple[GroupSummary, ...]
     tests: Mapping[str, TestResult]
-    letters: Mapping[str, HomogeneousGroups]
+    letters: Mapping[str, Tuple[Tuple[str, ...], Tuple[str, ...]]]  # (labels, letters)
     excluded: Tuple[Tuple[str, str], ...]
     method: str
     alpha: float
@@ -150,7 +149,7 @@ def compare_groups(
     rows = tuple(summarize_group(sets, label) for label, sets in included)
 
     tests: dict[str, TestResult] = {}
-    letters: dict[str, HomogeneousGroups] = {}
+    letters: dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {}
     for name in variables:
         extract = _extractor(name)
         labels: list[str] = []
@@ -163,10 +162,10 @@ def compare_groups(
         if len(value_groups) < 2:
             raise NoGroups(f"variable {name!r} is defined in fewer than two groups")
         if method == "anova":
-            tests[name] = anova_oneway(value_groups)[0]
+            tests[name] = anova_oneway(value_groups)
         else:
             tests[name] = kruskal_wallis(value_groups)
-        letters[name] = tukey_groups(value_groups, alpha, labels)
+        letters[name] = (tuple(labels), tukey_groups(value_groups, alpha))
 
     return ComparisonTable(
         dimension=dimension,
@@ -204,9 +203,9 @@ def correlation_matrix(
                     ys.append(b)
             if len(xs) < 3:
                 raise TooFewJournals(f"{names[i]} vs {names[j]}: only {len(xs)} journals")
-            result = spearman(xs, ys, alpha)
+            result = spearman(xs, ys)
             r[i][j] = r[j][i] = result.r
-            significant[i][j] = significant[j][i] = result.significant
+            significant[i][j] = significant[j][i] = result.p_value < alpha
             counts[i][j] = counts[j][i] = result.n
     return CorrelationMatrix(
         variables=names,
@@ -225,14 +224,10 @@ def citation_factor_analysis(pairs: Pairs) -> FactorResult:
     return pca_unrotated(rows)
 
 
-def contributing_variables(
-    result: FactorResult,
-    loading_threshold: float = 0.7,
-    communality_threshold: float = 0.80,
-) -> Tuple[bool, ...]:
-    """Flag variables whose loading and communality clear the usual cutoffs."""
+def contributing_variables(result: FactorResult) -> Tuple[bool, ...]:
+    """Flag variables whose |loading| exceeds 0.7 and communality exceeds 0.80."""
     return tuple(
-        abs(loading) > loading_threshold and communality > communality_threshold
+        abs(loading) > 0.7 and communality > 0.80
         for loading, communality in zip(result.loadings, result.communalities)
     )
 
@@ -292,8 +287,8 @@ def comparison_to_json(table: ComparisonTable) -> str:
             for name, test in table.tests.items()
         },
         "letters": {
-            name: {"labels": list(groups.labels), "letters": list(groups.letters)}
-            for name, groups in table.letters.items()
+            name: {"labels": list(labels), "letters": list(letters)}
+            for name, (labels, letters) in table.letters.items()
         },
         "excluded": [[label, reason] for label, reason in table.excluded],
     }
@@ -312,10 +307,10 @@ def correlation_to_json(matrix: CorrelationMatrix) -> str:
     )
 
 
-def factor_to_json(result: FactorResult, variables: Sequence[str] = FACTOR_VARIABLES) -> str:
+def factor_to_json(result: FactorResult) -> str:
     return _dumps(
         {
-            "variables": list(variables),
+            "variables": list(FACTOR_VARIABLES),
             "eigenvalues": list(result.eigenvalues),
             "retained": result.retained,
             "loadings": list(result.loadings),

@@ -1,4 +1,9 @@
-"""Journal ranking by h index, quartile assignment, and report rendering."""
+"""Journal ranking by h index, quartile assignment, and report rendering.
+
+Quartile bounds are a plain ``(q1, q2, q3)`` tuple: the least h of quartiles
+1, 2 and 3, non-increasing. :data:`FIXED_BOUNDS` holds the conventional
+cuts and :func:`empirical_bounds` reads them off a ranking.
+"""
 
 from __future__ import annotations
 
@@ -14,19 +19,9 @@ from .errors import DomainError, MissingCpn
 from .indicators import IndicatorSet
 
 
-@dataclass(frozen=True)
-class QuartileBounds:
-    cuts: Tuple[int, int, int]  # least h of quartiles 1, 2 and 3; non-increasing
-
-    def __post_init__(self):
-        q1, q2, q3 = self.cuts
-        if not (q1 >= q2 >= q3):
-            raise DomainError(f"quartile cuts must be non-increasing, got {self.cuts}")
-
-
 #: conventional integer cutoffs: quartile 1 above 3, then 3, 2, 1 and below. As the
 #: least h of each quartile that is (4, 3, 2), the same rule only because h is an int
-FIXED_BOUNDS = QuartileBounds(cuts=(4, 3, 2))
+FIXED_BOUNDS = (4, 3, 2)
 
 
 @dataclass(frozen=True)
@@ -59,21 +54,25 @@ def rank_journals(
     ]
 
 
-def empirical_bounds(rows: Sequence[ClassificationRow]) -> QuartileBounds:
+def empirical_bounds(rows: Sequence[ClassificationRow]) -> Tuple[int, int, int]:
     """Cut points read off the ranked h values at the quartile positions."""
     if not rows:
         raise DomainError("cannot derive quartile bounds from an empty ranking")
     n = len(rows)
     hs = [row.h for row in rows]  # already descending
-    cuts = tuple(hs[math.ceil(n * f / 4) - 1] for f in (1, 2, 3))
-    return QuartileBounds(cuts=cuts)
+    return tuple(hs[math.ceil(n * f / 4) - 1] for f in (1, 2, 3))
 
 
 def assign_quartiles(
-    rows: Sequence[ClassificationRow], bounds: QuartileBounds
+    rows: Sequence[ClassificationRow], bounds: Tuple[int, int, int]
 ) -> list[ClassificationRow]:
-    """Attach quartiles; ties on h always land in the upper quartile."""
-    q1, q2, q3 = bounds.cuts
+    """Attach quartiles; ties on h always land in the upper quartile.
+
+    ``bounds`` is the least h of quartiles 1, 2 and 3, and must not increase.
+    """
+    q1, q2, q3 = bounds
+    if not (q1 >= q2 >= q3):
+        raise DomainError(f"quartile cuts must be non-increasing, got {bounds}")
     out = []
     for row in rows:
         if row.h >= q1:

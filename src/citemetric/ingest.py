@@ -24,6 +24,7 @@ from .corpus import (
     Area,
     ArticleRecord,
     ArticleStatus,
+    DEFAULT_WINDOW,
     IbnpCategory,
     JournalCorpus,
     JournalRecord,
@@ -55,12 +56,6 @@ _MEMBERSHIP_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class RawRow:
-    line_number: int
-    fields: Tuple[str, ...]
-
-
 class DedupRule(str, Enum):
     SIMILAR_TITLE = "SimilarTitle"
     CROSS_LANGUAGE_SUSPECT = "CrossLanguageSuspect"
@@ -87,7 +82,7 @@ class IngestReport:
 
 @dataclass(frozen=True)
 class DedupConfig:
-    window: Tuple[int, int] = (2003, 2007)
+    window: Tuple[int, int] = DEFAULT_WINDOW
     title_threshold: float = 0.92
     alias_map: Mapping[str, str] = field(default_factory=dict)
 
@@ -103,8 +98,9 @@ def _decode(content) -> str:
     return content.lstrip("﻿")
 
 
-def _read_rows(content, expected_header: str) -> list[RawRow]:
-    """Parse CSV content into rows, enforcing the exact header and cell counts."""
+def _read_rows(content, expected_header: str) -> list[Tuple[int, list[str]]]:
+    """Parse CSV content into (line number, cells) pairs, enforcing the exact
+    header and the cell count of every row; cells are in header order."""
     text = _decode(content)
     reader = csv.reader(io.StringIO(text, newline=""))
     header_cells = next(reader, None)
@@ -124,17 +120,17 @@ def _read_rows(content, expected_header: str) -> list[RawRow]:
             continue  # blank trailing line
         if len(cells) != width:
             raise BadCell(start, "*", f"expected {width} cells, found {len(cells)}")
-        out.append(RawRow(line_number=start, fields=tuple(cells)))
+        out.append((start, cells))
     return out
 
 
-def _int_cell(row: RawRow, column: str, value: str, minimum: int = 0) -> int:
+def _int_cell(line: int, column: str, value: str, minimum: int = 0) -> int:
     try:
         parsed = int(value.strip())
     except ValueError:
-        raise BadCell(row.line_number, column, f"not an integer: {value!r}") from None
+        raise BadCell(line, column, f"not an integer: {value!r}") from None
     if parsed < minimum:
-        raise BadCell(row.line_number, column, f"below {minimum}: {parsed}")
+        raise BadCell(line, column, f"below {minimum}: {parsed}")
     return parsed
 
 
@@ -142,32 +138,31 @@ def parse_registry(content) -> list[JournalRecord]:
     """Parse the journal registry CSV into one record per row."""
     journals: list[JournalRecord] = []
     seen: set[str] = set()
-    for row in _read_rows(content, REGISTRY_HEADER):
-        cells = dict(zip(REGISTRY_HEADER.split(","), row.fields))
-        journal_id = cells["journal_id"].strip()
+    for line, (journal_id, title, area, category, air_ibnp, *flags) in _read_rows(
+        content, REGISTRY_HEADER
+    ):
+        journal_id = journal_id.strip()
         if not journal_id:
-            raise BadCell(row.line_number, "journal_id", "empty")
+            raise BadCell(line, "journal_id", "empty")
         if journal_id in seen:
-            raise DuplicateId(row.line_number, journal_id)
+            raise DuplicateId(line, journal_id)
         seen.add(journal_id)
-        title = cells["title"].strip()
+        title = title.strip()
         if not title:
-            raise BadCell(row.line_number, "title", "empty")
+            raise BadCell(line, "title", "empty")
         try:
-            area = Area(cells["area"].strip())
+            area = Area(area.strip())
         except ValueError:
-            raise BadCell(row.line_number, "area", f"unknown area {cells['area']!r}") from None
+            raise BadCell(line, "area", f"unknown area {area!r}") from None
         try:
-            category = IbnpCategory(cells["ibnp_category"].strip())
+            category = IbnpCategory(category.strip())
         except ValueError:
-            raise BadCell(
-                row.line_number, "ibnp_category", f"unknown category {cells['ibnp_category']!r}"
-            ) from None
+            raise BadCell(line, "ibnp_category", f"unknown category {category!r}") from None
         memberships = set()
-        for column, tag in _MEMBERSHIP_COLUMNS:
-            flag = cells[column].strip()
+        for (column, tag), flag in zip(_MEMBERSHIP_COLUMNS, flags):
+            flag = flag.strip()
             if flag not in ("0", "1"):
-                raise BadCell(row.line_number, column, f"flag must be 0 or 1, got {flag!r}")
+                raise BadCell(line, column, f"flag must be 0 or 1, got {flag!r}")
             if flag == "1":
                 memberships.add(tag)
         journals.append(
@@ -176,7 +171,7 @@ def parse_registry(content) -> list[JournalRecord]:
                 title=title,
                 area=area,
                 category=category,
-                air_ibnp=_int_cell(row, "air_ibnp", cells["air_ibnp"]),
+                air_ibnp=_int_cell(line, "air_ibnp", air_ibnp),
                 memberships=frozenset(memberships),
             )
         )
@@ -186,22 +181,22 @@ def parse_registry(content) -> list[JournalRecord]:
 def parse_citation_export(content, journal_id: str) -> list[ArticleRecord]:
     """Parse one citation-export CSV; all records come back with status Kept."""
     records: list[ArticleRecord] = []
-    for row in _read_rows(content, EXPORT_HEADER):
-        cells = dict(zip(EXPORT_HEADER.split(","), row.fields))
-        year_text = cells["year"].strip()
-        year = _int_cell(row, "year", year_text, minimum=-(10**9)) if year_text else None
+    for line, (cites, authors, title, year, publication, publisher, url) in _read_rows(
+        content, EXPORT_HEADER
+    ):
+        year = year.strip()
         record = ArticleRecord(
             journal_id=journal_id,
-            title=cells["title"].strip(),
-            year=year,
-            cites=_int_cell(row, "cites", cells["cites"]),
-            authors=cells["authors"].strip(),
-            publication=cells["publication"].strip(),
-            publisher=cells["publisher"].strip(),
-            url=cells["url"].strip(),
+            title=title.strip(),
+            year=_int_cell(line, "year", year, minimum=-(10**9)) if year else None,
+            cites=_int_cell(line, "cites", cites),
+            authors=authors.strip(),
+            publication=publication.strip(),
+            publisher=publisher.strip(),
+            url=url.strip(),
             status=ArticleStatus.KEPT,
         )
-        object.__setattr__(record, "line_number", row.line_number)  # frozen, init=False field
+        object.__setattr__(record, "line_number", line)  # frozen, init=False field
         records.append(record)
     return records
 
@@ -209,8 +204,7 @@ def parse_citation_export(content, journal_id: str) -> list[ArticleRecord]:
 def parse_alias_file(content) -> dict[str, str]:
     """Parse the title-alias CSV; both sides are stored normalized."""
     aliases: dict[str, str] = {}
-    for row in _read_rows(content, ALIAS_HEADER):
-        source, target = row.fields
+    for _, (source, target) in _read_rows(content, ALIAS_HEADER):
         aliases[normalize_title(source)] = normalize_title(target)
     return aliases
 

@@ -3,9 +3,11 @@
 Mid-ranks, rank correlation, tail probabilities from first principles
 (continued fractions and series), least squares with sequential sums of
 squares, one-way tests, post-hoc letter displays, and unrotated principal
-components over a correlation matrix (``numpy.linalg.eigh``). Everything is
-pure and deterministic; accumulations use ``math.fsum``, which is correctly
-rounded, so sums do not depend on input order at all.
+components over a correlation matrix (``numpy.linalg.eigh``). Both one-way
+tests give statistic 0 and p = 1 when the data carry no between-group signal
+(equal group means, or every observation tied). Everything is pure and
+deterministic; accumulations use ``math.fsum``, which is correctly rounded,
+so sums do not depend on input order at all.
 
 numpy is imported inside ``ols_fit`` and ``pca_unrotated``, its only users, so
 importing this module (and every CLI command but ``factor`` and ``regress``)
@@ -20,7 +22,6 @@ from enum import Enum
 from typing import Optional, Sequence, Tuple
 
 from .errors import (
-    AllTied,
     ConstantColumn,
     DegenerateInput,
     DomainError,
@@ -38,7 +39,6 @@ _MAX_ITER = 500
 class StatMethod(str, Enum):
     ANOVA_F = "AnovaF"
     KRUSKAL_WALLIS_H = "KruskalWallisH"
-    SPEARMAN_T = "SpearmanT"
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,6 @@ class CorrelationResult:
     r: float
     n: int
     p_value: float
-    significant: bool
 
 
 @dataclass(frozen=True)
@@ -79,12 +78,6 @@ class FactorResult:
     loadings: Tuple[float, ...]  # first component only
     communalities: Tuple[float, ...]
     variance_explained: float
-
-
-@dataclass(frozen=True)
-class HomogeneousGroups:
-    labels: Tuple[str, ...]
-    letters: Tuple[str, ...]  # per group, ascending letter string
 
 
 # --- accumulation -----------------------------------------------------------
@@ -271,7 +264,7 @@ def chi_square_tail(x: float, df: float) -> float:
 # --- correlation ------------------------------------------------------------
 
 
-def spearman(x: Sequence[float], y: Sequence[float], alpha: float = 0.05) -> CorrelationResult:
+def spearman(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     """Rank correlation with midrank ties; p from the two-sided t approximation."""
     if len(x) != len(y):
         raise LengthMismatch(f"lengths differ: {len(x)} vs {len(y)}")
@@ -285,7 +278,7 @@ def spearman(x: Sequence[float], y: Sequence[float], alpha: float = 0.05) -> Cor
     else:
         t = r * math.sqrt((n - 2) / (1.0 - r * r))
         p = min(1.0, 2.0 * student_t_tail(abs(t), n - 2))
-    return CorrelationResult(r=r, n=n, p_value=p, significant=p < alpha)
+    return CorrelationResult(r=r, n=n, p_value=p)
 
 
 # --- least squares ----------------------------------------------------------
@@ -386,8 +379,8 @@ def _check_groups(groups: Sequence[Sequence[float]]) -> int:
     return n
 
 
-def anova_oneway(groups: Sequence[Sequence[float]]) -> tuple[TestResult, list[float]]:
-    """Classic one-way decomposition; returns the F test and per-group means."""
+def anova_oneway(groups: Sequence[Sequence[float]]) -> TestResult:
+    """Classic one-way F test; F = 0, p = 1 when every group has the same mean."""
     n = _check_groups(groups)
     k = len(groups)
     means = [_mean(g) for g in groups]
@@ -402,14 +395,17 @@ def anova_oneway(groups: Sequence[Sequence[float]]) -> tuple[TestResult, list[fl
     else:
         f_stat = (ssb / df1) / (ssw / df2)
         p = f_tail(f_stat, df1, df2)
-    result = TestResult(
+    return TestResult(
         statistic=f_stat, df1=df1, df2=df2, p_value=p, method=StatMethod.ANOVA_F, n=n
     )
-    return result, means
 
 
 def kruskal_wallis(groups: Sequence[Sequence[float]]) -> TestResult:
-    """Rank-based one-way test with midrank tie correction."""
+    """Rank-based one-way test with midrank tie correction.
+
+    When every observation is tied the ranks carry no information, so, as
+    :func:`anova_oneway` does for equal means, H = 0 and p = 1.
+    """
     n = _check_groups(groups)  # two or more groups forces n >= 3
     k = len(groups)
     pooled = [v for g in groups for v in g]
@@ -426,9 +422,7 @@ def kruskal_wallis(groups: Sequence[Sequence[float]]) -> TestResult:
     for v in pooled:
         tie_counts[v] = tie_counts.get(v, 0) + 1
     correction = 1.0 - sum(t**3 - t for t in tie_counts.values()) / (n**3 - n)
-    if correction == 0.0:
-        raise AllTied("every observation is tied")
-    h = max(h / correction, 0.0)
+    h = 0.0 if correction == 0.0 else max(h / correction, 0.0)
     return TestResult(
         statistic=h,
         df1=k - 1,
@@ -496,22 +490,15 @@ def _letter_columns(k: int, different: set[tuple[int, int]]) -> list[set[int]]:
     return columns
 
 
-def tukey_groups(
-    groups: Sequence[Sequence[float]],
-    alpha: float = 0.05,
-    labels: Optional[Sequence[str]] = None,
-) -> HomogeneousGroups:
+def tukey_groups(groups: Sequence[Sequence[float]], alpha: float = 0.05) -> Tuple[str, ...]:
     """Tukey-Kramer pairwise comparisons summarized as shared letters.
 
+    Returns one ascending letter string per group, in the order of ``groups``.
     The letter `a` goes to the highest-mean block, matching the usual
     reporting convention for these tables.
     """
     n = _check_groups(groups)
     k = len(groups)
-    if labels is None:
-        labels = tuple(f"g{i + 1}" for i in range(k))
-    elif len(labels) != k:
-        raise LengthMismatch("one label per group required")
     means = [_mean(g) for g in groups]
     ssw = math.fsum(math.fsum((v - m) ** 2 for v in g) for g, m in zip(groups, means))
     df_within = n - k
@@ -531,7 +518,7 @@ def tukey_groups(
     for letter_index, col in enumerate(columns):
         for i in col:
             letters[i] += chr(ord("a") + letter_index)
-    return HomogeneousGroups(labels=tuple(labels), letters=tuple("".join(sorted(s)) for s in letters))
+    return tuple("".join(sorted(s)) for s in letters)
 
 
 # --- principal components ---------------------------------------------------

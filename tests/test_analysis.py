@@ -109,9 +109,9 @@ def test_compare_category_letters_split_high_and_low():
         variables=["cr_ga_log10"],
         method="anova",
     )
-    letters = table.letters["cr_ga_log10"]
-    assert letters.labels == ("A1", "A2", "B", "C")
-    assert letters.letters == ("a", "a", "b", "b")
+    labels, letters = table.letters["cr_ga_log10"]
+    assert labels == ("A1", "A2", "B", "C")
+    assert letters == ("a", "a", "b", "b")
     assert table.tests["cr_ga_log10"].p_value < 0.05
 
 

@@ -7,7 +7,6 @@ import pytest
 from citemetric.classify import (
     FIXED_BOUNDS,
     ClassificationRow,
-    QuartileBounds,
     assign_quartiles,
     emit_report,
     empirical_bounds,
@@ -92,7 +91,7 @@ def test_fixed_mode_top_two_equals_h_at_least_three():
 def test_empirical_all_tied_goes_to_first_quartile():
     rows = [_row(i + 1, 5, 1.0) for i in range(6)]
     bounds = empirical_bounds(rows)
-    assert bounds.cuts == (5, 5, 5)
+    assert bounds == (5, 5, 5)
     assert all(r.quartile == 1 for r in assign_quartiles(rows, bounds))
 
 
@@ -120,7 +119,7 @@ def test_quartile_assignment_is_monotone_in_both_modes():
 
 def test_bounds_must_not_increase():
     with pytest.raises(DomainError):
-        QuartileBounds(cuts=(1, 2, 3))
+        assign_quartiles([_row(1, 3, 1.0)], (1, 2, 3))
 
 
 # --- reports -------------------------------------------------------------------

@@ -11,6 +11,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from citemetric import analysis
 from citemetric.cli import _parse_window, main
 from citemetric.errors import DomainError
 from fixture_corpus import bench_module, write_fixture_tree
@@ -104,6 +105,19 @@ def test_compare_correlate_factor_regress_commands(tmp_path):
         assert code == 0
         doc = json.loads(out.read_text(encoding="utf-8"))
         assert keys <= set(doc)
+
+
+def test_compare_kw_on_an_all_tied_variable_exits_zero(tmp_path):
+    # every bundled journal has air_ibnp 100, so air_ibnp_log10 is constant
+    out = tmp_path / "compare.json"
+    argv = ["compare", "--corpus", str(BUNDLED_CORPUS), "--area", "ciencias",
+            "--by", "library", "--method", "kw", "--out", str(out)]
+    assert main(argv) == 0
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    test = doc["tests"]["air_ibnp_log10"]
+    assert (test["method"], test["statistic"], test["p_value"]) == ("KruskalWallisH", 0.0, 1.0)
+    assert doc["letters"]["air_ibnp_log10"]["letters"] == ["a", "a", "a", "a"]
+    assert doc["variables"] == list(analysis.DEFAULT_COMPARE_VARIABLES)
 
 
 def test_end_to_end_runs_are_byte_identical(tmp_path):
