@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Optional, Sequence, Tuple
 
 # filter_by_area and corpus_indicator_sets go unused here; bench/spans.py wraps them by name
 from .corpus import Area, IbnpCategory, JournalRecord, Library, filter_by_area
-from .errors import DomainError, NoGroups, TooFewJournals
+from .errors import DomainError
 from .indicators import (
     GroupSummary,
     IndicatorSet,
@@ -101,6 +101,14 @@ def _extractor(name: str) -> Callable[[IndicatorSet], Optional[float]]:
 Pairs = Sequence[Tuple[JournalRecord, IndicatorSet]]
 
 
+def _distinct(variables: Sequence[str]) -> Tuple[str, ...]:
+    names = tuple(variables)
+    for name in names:
+        if names.count(name) > 1:
+            raise DomainError(f"variable {name!r} is listed more than once")
+    return names
+
+
 def _complete_rows(pairs: Pairs, names: Sequence[str]) -> list[list[float]]:
     """The named variables of every journal where all of them are defined."""
     extractors = [_extractor(name) for name in names]
@@ -128,6 +136,8 @@ def compare_groups(
     runs. ``area`` only labels the table.
     """
     dimension = GroupDimension(dimension)
+    if not _distinct(variables):
+        raise DomainError("need at least one variable")
     if method not in ("anova", "kw"):
         raise DomainError(f"unknown method {method!r}; use 'anova' or 'kw'")
 
@@ -144,7 +154,7 @@ def compare_groups(
     included = [(label, sets) for label, sets in grouped if len(sets) >= 2]
     excluded = tuple((label, f"n={len(sets)}") for label, sets in grouped if len(sets) < 2)
     if len(included) < 2:
-        raise NoGroups("fewer than two groups with at least two journals")
+        raise DomainError("fewer than two groups with at least two journals")
 
     rows = tuple(summarize_group(sets, label) for label, sets in included)
 
@@ -160,7 +170,7 @@ def compare_groups(
                 labels.append(label)
                 value_groups.append(values)
         if len(value_groups) < 2:
-            raise NoGroups(f"variable {name!r} is defined in fewer than two groups")
+            raise DomainError(f"variable {name!r} is defined in fewer than two groups")
         if method == "anova":
             tests[name] = anova_oneway(value_groups)
         else:
@@ -183,7 +193,7 @@ def correlation_matrix(
     pairs: Pairs, variables: Sequence[str], alpha: float = 0.05
 ) -> CorrelationMatrix:
     """Pairwise rank correlations with pairwise deletion of undefined values."""
-    names = tuple(variables)
+    names = _distinct(variables)
     if len(names) < 2:
         raise DomainError("need at least two variables")
     columns = {name: [_extractor(name)(s) for _, s in pairs] for name in names}
@@ -202,7 +212,7 @@ def correlation_matrix(
                     xs.append(a)
                     ys.append(b)
             if len(xs) < 3:
-                raise TooFewJournals(f"{names[i]} vs {names[j]}: only {len(xs)} journals")
+                raise DomainError(f"{names[i]} vs {names[j]}: only {len(xs)} journals")
             result = spearman(xs, ys)
             r[i][j] = r[j][i] = result.r
             significant[i][j] = significant[j][i] = result.p_value < alpha
@@ -220,7 +230,7 @@ def citation_factor_analysis(pairs: Pairs) -> FactorResult:
     """Unrotated principal components over the three citation indicators."""
     rows = _complete_rows(pairs, FACTOR_VARIABLES)
     if len(rows) < 4:
-        raise TooFewJournals(f"only {len(rows)} journals with all citation indicators")
+        raise DomainError(f"only {len(rows)} journals with all citation indicators")
     return pca_unrotated(rows)
 
 
@@ -242,7 +252,7 @@ def citation_regression(pairs: Pairs, response: str = "logcr") -> RegressionResu
     response_name = "cr_ga_log10" if response == "logcr" else "h"
     rows = _complete_rows(pairs, (response_name, *REGRESSION_PREDICTORS))
     if len(rows) < 5:
-        raise TooFewJournals(f"only {len(rows)} journals with response and predictors")
+        raise DomainError(f"only {len(rows)} journals with response and predictors")
     y = [row[0] for row in rows]
     x1 = [row[1] for row in rows]
     x2 = [row[2] for row in rows]

@@ -11,11 +11,12 @@ import csv
 import io
 import json
 import math
+import re
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 from .corpus import IbnpCategory, JournalRecord
-from .errors import DomainError, MissingCpn
+from .errors import DomainError
 from .indicators import IndicatorSet
 
 
@@ -40,7 +41,7 @@ def rank_journals(
     """Order journals by h descending, normalized citation, then title."""
     for journal, indicator in pairs:
         if indicator.cpn is None:
-            raise MissingCpn(journal.journal_id)
+            raise DomainError(f"journal {journal.journal_id!r} has no normalized citation value")
     ordered = sorted(pairs, key=lambda p: (-p[1].h, -p[1].cpn, p[0].title))
     return [
         ClassificationRow(
@@ -142,6 +143,8 @@ def emit_report(
             "| " + " | ".join("---" for _ in REPORT_COLUMNS) + " |",
         ]
         for row in selected:
-            lines.append("| " + " | ".join(_row_cells(row)) + " |")
+            # an escaped pipe stays in its cell; a line break would end the row
+            cells = (re.sub(r"\r\n?|\n", " ", c.replace("|", r"\|")) for c in _row_cells(row))
+            lines.append("| " + " | ".join(cells) + " |")
         return ("\n".join(lines) + "\n").encode("utf-8")
     raise DomainError(f"unknown report format {fmt!r}; use 'csv', 'json' or 'md'")

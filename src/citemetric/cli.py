@@ -70,9 +70,13 @@ def _write_atomic(path: str, data: bytes) -> None:
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, temp_name = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
+        # mkstemp creates 0600; give the mode a plain open() would
+        os.chmod(temp_name, 0o666 & ~umask)
         os.replace(temp_name, target)
     except BaseException:
         if os.path.exists(temp_name):

@@ -21,7 +21,7 @@ from .corpus import (
     JournalRecord,
     Library,
 )
-from .errors import DomainError, EmptyArea, EmptyGroup, ZeroAreaMean
+from .errors import DomainError
 
 INDICATOR_CSV_HEADER = (
     "journal_id,title,area,category,air_ibnp,air_ga,ratio_ba,cr_ga,ca_mean,"
@@ -141,7 +141,7 @@ def area_mean_citation(sets: Sequence[IndicatorSet], mode: str = "ratios") -> fl
     """
     qualifying = [s for s in sets if s.ca_mean is not None]
     if not qualifying:
-        raise EmptyArea("no journal with registry production")
+        raise DomainError("no journal with registry production")
     if mode == "ratios":
         return math.fsum(s.ca_mean for s in qualifying) / len(qualifying)
     if mode == "pooled":
@@ -154,7 +154,7 @@ def cpn(indicator_set: IndicatorSet, area_mean: float) -> float:
     if indicator_set.ca_mean is None:
         raise DomainError(f"journal {indicator_set.journal_id!r} has no citation rate")
     if area_mean == 0.0:
-        raise ZeroAreaMean("area citation rate is zero")
+        raise DomainError("area citation rate is zero")
     return indicator_set.ca_mean / area_mean
 
 
@@ -171,7 +171,7 @@ def _mean_sd(values: Sequence[float]) -> tuple[Optional[float], Optional[float]]
 def summarize_group(sets: Sequence[IndicatorSet], label: str) -> GroupSummary:
     """Totals and per-journal means for one library or category group."""
     if not sets:
-        raise EmptyGroup(f"group {label!r} is empty")
+        raise DomainError(f"group {label!r} is empty")
     log_cr = [log10_shifted(s.cr_ga, "citations") for s in sets]
     ca = [s.ca_mean for s in sets if s.ca_mean is not None]
     ratio = [s.visibility_ratio for s in sets if s.visibility_ratio is not None]
@@ -217,12 +217,11 @@ def corpus_indicator_sets(
     by_area: dict[Area, list[IndicatorSet]] = {}
     for journal, indicator in pairs:
         by_area.setdefault(journal.area, []).append(indicator)
-    area_means: dict[Area, float] = {}
-    for area, sets in by_area.items():
-        try:
-            area_means[area] = area_mean_citation(sets, mode=mean_mode)
-        except EmptyArea:
-            continue
+    area_means = {
+        area: area_mean_citation(sets, mode=mean_mode)
+        for area, sets in by_area.items()
+        if any(s.ca_mean is not None for s in sets)
+    }
 
     out: list[Tuple[JournalRecord, IndicatorSet]] = []
     for journal, indicator in pairs:

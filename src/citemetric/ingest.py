@@ -32,15 +32,7 @@ from .corpus import (
     _ArticleRecordBuilder,
     validate_corpus,
 )
-from .errors import (
-    BadCell,
-    DomainError,
-    DuplicateId,
-    MalformedCorpus,
-    MalformedHeader,
-    MixedJournal,
-    UnknownJournal,
-)
+from .errors import BadCell, DomainError, DuplicateId, MalformedCorpus, MalformedHeader
 
 REGISTRY_HEADER = "journal_id,title,area,ibnp_category,air_ibnp,wok,scopus,redalyc,scielo,gscholar"
 EXPORT_HEADER = "cites,authors,title,year,publication,publisher,url"
@@ -314,7 +306,7 @@ def deduplicate(
     """
     ids = {r.journal_id for r in records}
     if len(ids) > 1:
-        raise MixedJournal(f"records span journals {sorted(ids)}")
+        raise DomainError(f"records span journals {sorted(ids)}")
 
     start, end = config.window
     statuses: dict[int, ArticleStatus] = {}
@@ -467,7 +459,7 @@ def build_corpus(
     known = {j.journal_id for j in journals}
     for journal_id in records_by_journal:
         if journal_id not in known:
-            raise UnknownJournal(journal_id)
+            raise DomainError(f"unknown journal_id {journal_id!r}")
     articles: list[ArticleRecord] = []
     for journal in journals:
         articles.extend(records_by_journal.get(journal.journal_id, ()))
@@ -478,7 +470,7 @@ def build_corpus(
     )
     violations = validate_corpus(corpus)
     if violations:
-        raise ValueError("invalid corpus: " + "; ".join(violations))
+        raise DomainError("invalid corpus: " + "; ".join(violations))
     return corpus
 
 

@@ -21,15 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence, Tuple
 
-from .errors import (
-    ConstantColumn,
-    DegenerateInput,
-    DomainError,
-    LengthMismatch,
-    NonConvergence,
-    RankDeficient,
-    TooFewGroups,
-)
+from .errors import DomainError
 
 _EPS = 1e-15
 _TINY = 1e-300
@@ -93,7 +85,7 @@ def _pearson(x: Sequence[float], y: Sequence[float]) -> float:
     sxx = math.fsum((a - mx) ** 2 for a in x)
     syy = math.fsum((b - my) ** 2 for b in y)
     if sxx <= 0.0 or syy <= 0.0:
-        raise DegenerateInput("constant input leaves the correlation undefined")
+        raise DomainError("constant input leaves the correlation undefined")
     return sxy / math.sqrt(sxx * syy)
 
 
@@ -156,7 +148,7 @@ def _beta_cf(a: float, b: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _EPS:
             return h
-    raise NonConvergence(f"incomplete beta failed to converge for a={a}, b={b}, x={x}")
+    raise DomainError(f"incomplete beta failed to converge for a={a}, b={b}, x={x}")
 
 
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
@@ -191,7 +183,7 @@ def _gamma_series_lower(s: float, x: float) -> float:
         total += term
         if abs(term) < abs(total) * _EPS:
             return total * math.exp(-x + s * math.log(x) - math.lgamma(s))
-    raise NonConvergence(f"incomplete gamma series failed for s={s}, x={x}")
+    raise DomainError(f"incomplete gamma series failed for s={s}, x={x}")
 
 
 def _gamma_cf_upper(s: float, x: float) -> float:
@@ -213,7 +205,7 @@ def _gamma_cf_upper(s: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _EPS:
             return h * math.exp(-x + s * math.log(x) - math.lgamma(s))
-    raise NonConvergence(f"incomplete gamma fraction failed for s={s}, x={x}")
+    raise DomainError(f"incomplete gamma fraction failed for s={s}, x={x}")
 
 
 def regularized_gamma_upper(s: float, x: float) -> float:
@@ -267,7 +259,7 @@ def chi_square_tail(x: float, df: float) -> float:
 def spearman(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     """Rank correlation with midrank ties; p from the two-sided t approximation."""
     if len(x) != len(y):
-        raise LengthMismatch(f"lengths differ: {len(x)} vs {len(y)}")
+        raise DomainError(f"lengths differ: {len(x)} vs {len(y)}")
     n = len(x)
     if n < 3:
         raise DomainError("need at least 3 pairs")
@@ -302,13 +294,13 @@ def ols_fit(y: Sequence[float], predictors: Sequence[Sequence[float]]) -> Regres
     for col in predictors:
         cv = np.asarray(col, dtype=float)
         if cv.shape[0] != n:
-            raise LengthMismatch("predictor length differs from response length")
+            raise DomainError("predictor length differs from response length")
         cols.append(cv)
     if n <= p + 1:
         raise DomainError(f"need more than {p + 1} observations, got {n}")
     design = np.column_stack([np.ones(n)] + cols)
     if np.linalg.cond(design) > 1e12:
-        raise RankDeficient("design matrix is numerically singular")
+        raise DomainError("design matrix is numerically singular")
 
     q, r = np.linalg.qr(design)
     z = q.T @ yv
@@ -370,12 +362,12 @@ def ols_fit(y: Sequence[float], predictors: Sequence[Sequence[float]]) -> Regres
 
 def _check_groups(groups: Sequence[Sequence[float]]) -> int:
     if len(groups) < 2:
-        raise TooFewGroups("need at least two groups")
+        raise DomainError("need at least two groups")
     if any(len(g) == 0 for g in groups):
-        raise TooFewGroups("every group needs at least one value")
+        raise DomainError("every group needs at least one value")
     n = sum(len(g) for g in groups)
     if n <= len(groups):
-        raise TooFewGroups("no within-group degrees of freedom")
+        raise DomainError("no within-group degrees of freedom")
     return n
 
 
@@ -539,7 +531,7 @@ def pca_unrotated(data) -> FactorResult:
     columns = [array[:, j] for j in range(p)]
     for j, col in enumerate(columns):
         if all(v == col[0] for v in col):
-            raise ConstantColumn(f"column {j} is constant")
+            raise DomainError(f"column {j} is constant")
 
     corr = np.eye(p)
     for i in range(p):

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.stats import rankdata
 
 from citemetric.corpus import ArticleRecord, ArticleStatus
-from citemetric.errors import MixedJournal
+from citemetric.errors import DomainError
 from citemetric.ingest import (
     DedupConfig,
     DedupDecision,
@@ -123,7 +123,7 @@ def deduplicate_reference(
     """
     ids = {r.journal_id for r in records}
     if len(ids) > 1:
-        raise MixedJournal(f"records span journals {sorted(ids)}")
+        raise DomainError(f"records span journals {sorted(ids)}")
 
     start, end = config.window
     statuses: dict[int, ArticleStatus] = {}

@@ -26,7 +26,7 @@ from citemetric.corpus import (
     JournalRecord,
     Library,
 )
-from citemetric.errors import NoGroups, TooFewJournals
+from citemetric.errors import DomainError
 from citemetric.indicators import corpus_indicator_sets, summarize_group
 from citemetric.statkit import FactorResult, ols_fit, pca_unrotated
 from fixture_corpus import build_fixture_corpus
@@ -78,7 +78,7 @@ def test_compare_single_category_corpus_has_no_groups():
     specs = [
         (f"j{i}", IbnpCategory.B, {Library.GOOGLE_SCHOLAR}, 50, [3, 1]) for i in range(6)
     ]
-    with pytest.raises(NoGroups):
+    with pytest.raises(DomainError, match="fewer than two groups with at least two journals"):
         compare_groups(make_pairs(specs), Area.CIENCIAS, GroupDimension.BY_CATEGORY)
 
 
@@ -194,7 +194,7 @@ def test_correlation_requires_three_defined_pairs():
     specs = [
         (f"j{i}", IbnpCategory.B, {Library.GOOGLE_SCHOLAR}, 100, [i + 1]) for i in range(5)
     ]
-    with pytest.raises(TooFewJournals):
+    with pytest.raises(DomainError, match="h vs h_sc: only 0 journals"):
         correlation_matrix(make_pairs(specs), ["h", "h_sc"])
 
 
@@ -237,7 +237,7 @@ def test_factor_analysis_needs_four_journals():
     specs = [
         (f"j{i}", IbnpCategory.B, {Library.GOOGLE_SCHOLAR}, 50, [i + 1, 1]) for i in range(3)
     ]
-    with pytest.raises(TooFewJournals):
+    with pytest.raises(DomainError, match="only 3 journals with all citation indicators"):
         citation_factor_analysis(make_pairs(specs))
 
 
@@ -301,7 +301,7 @@ def test_citation_regression_needs_five_journals():
     specs = [
         (f"j{i}", IbnpCategory.B, {Library.GOOGLE_SCHOLAR}, 50, [i + 1]) for i in range(4)
     ]
-    with pytest.raises(TooFewJournals):
+    with pytest.raises(DomainError, match="only 4 journals with response and predictors"):
         citation_regression(make_pairs(specs))
 
 

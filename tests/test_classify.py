@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import pathlib
 import random
@@ -13,7 +15,7 @@ from citemetric.classify import (
     rank_journals,
 )
 from citemetric.corpus import IbnpCategory
-from citemetric.errors import DomainError, MissingCpn
+from citemetric.errors import DomainError
 from citemetric.indicators import corpus_indicator_sets
 from fixture_corpus import build_fixture_corpus
 
@@ -62,7 +64,7 @@ def test_missing_cpn_is_an_error():
     from dataclasses import replace
 
     broken = [(journal, replace(indicator, cpn=None))]
-    with pytest.raises(MissingCpn):
+    with pytest.raises(DomainError, match="has no normalized citation value"):
         rank_journals(broken)
 
 
@@ -145,6 +147,26 @@ def test_markdown_first_row_layout():
     lines = emit_report(rows, "md", top_quartiles=2).decode().splitlines()
     assert lines[2] == "| 1 | COLOMBIA MÉDICA | 10 | A2 | 10.35 | 1 |"
     assert len(lines) == 2 + 27
+
+
+def test_markdown_escapes_pipes_and_line_breaks_in_titles():
+    titles = ["Revista A | B", "Uno\nDos", "Tres\r\nCuatro", "Cinco\rSeis"]
+    rows = assign_quartiles(
+        [_row(rank, 5 - rank, 1.0, title=title) for rank, title in enumerate(titles, 1)],
+        FIXED_BOUNDS,
+    )
+    lines = emit_report(rows, "md").decode().split("\n")
+    assert lines[2:] == [
+        "| 1 | Revista A \\| B | 4 | B | 1.00 | 1 |",
+        "| 2 | Uno Dos | 3 | B | 1.00 | 2 |",
+        "| 3 | Tres Cuatro | 2 | B | 1.00 | 3 |",
+        "| 4 | Cinco Seis | 1 | B | 1.00 | 4 |",
+        "",
+    ]
+    # csv and json keep the raw title
+    assert [row["title"] for row in json.loads(emit_report(rows, "json"))] == titles
+    csv_rows = csv.reader(io.StringIO(emit_report(rows, "csv").decode(), newline=""))
+    assert list(csv_rows)[1][1] == "Revista A | B"
 
 
 def test_report_emission_is_deterministic():

@@ -220,6 +220,37 @@ def test_alpha_and_top_out_of_range_exit_with_usage_error(tmp_path, capsys):
     assert main(["classify", *corpus, "--top", "1", "--out", str(out)]) == 0
 
 
+@pytest.mark.parametrize(
+    "command, variables, says",
+    [
+        ("compare", "", "need at least one variable"),
+        ("compare", ",", "need at least one variable"),
+        ("compare", "h,cr_ga_log10,h", "variable 'h' is listed more than once"),
+        ("correlate", "h,h", "variable 'h' is listed more than once"),
+    ],
+)
+def test_empty_or_repeated_vars_is_a_one_line_data_error(
+    tmp_path, capsys, command, variables, says
+):
+    out = tmp_path / "out.json"
+    by = ["--by", "category"] if command == "compare" else []
+    argv = [command, "--corpus", str(BUNDLED_CORPUS), "--area", "ciencias", *by]
+    assert main(argv + ["--vars", variables, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"citemetric {command}: {says}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_outputs_get_the_mode_a_plain_open_would_give(tmp_path, umask, mode):
+    out = tmp_path / "table.csv"
+    previous = os.umask(umask)
+    try:
+        assert main(["classify", "--corpus", str(BUNDLED_CORPUS), "--out", str(out)]) == 0
+    finally:
+        os.umask(previous)
+    assert out.stat().st_mode & 0o777 == mode
+
+
 @pytest.mark.parametrize("threshold", ["1.5", "0", "-0.1", "nan", "inf", "high"])
 def test_bad_title_threshold_exits_with_usage_error(tmp_path, threshold, capsys):
     out = tmp_path / "corpus.json"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from citemetric.corpus import ArticleRecord, ArticleStatus
-from citemetric.errors import DomainError, MixedJournal
+from citemetric.errors import DomainError
 from citemetric.ingest import (
     EXPORT_HEADER,
     DedupConfig,
@@ -100,7 +100,7 @@ def test_shared_token_prevents_cross_language_flag():
 
 def test_mixed_journal_batch_is_rejected():
     records = [_record("Uno"), _record("Dos", journal_id="j2")]
-    with pytest.raises(MixedJournal):
+    with pytest.raises(DomainError, match="records span journals"):
         deduplicate(records, CONFIG)
 
 

@@ -14,7 +14,7 @@ from citemetric.corpus import (
     _ArticleRecordBuilder,
     validate_corpus,
 )
-from citemetric.errors import BadCell, DuplicateId, MalformedHeader, UnknownJournal
+from citemetric.errors import BadCell, DomainError, DuplicateId, MalformedHeader
 from citemetric.ingest import (
     REGISTRY_HEADER,
     build_corpus,
@@ -145,7 +145,7 @@ def test_bad_cell_after_a_multi_line_cell_names_its_physical_line():
 def test_build_corpus_rejects_unknown_journal():
     journals = parse_registry(REGISTRY_HEADER + "\nj1,Revista,Ciencias,B,10,0,0,0,0,1\n")
     records = parse_citation_export(EXPORT_HEADER + "\n1,,Nota,2004,,,\n", "zz")
-    with pytest.raises(UnknownJournal):
+    with pytest.raises(DomainError, match="unknown journal_id 'zz'"):
         build_corpus(journals, {"zz": records}, (2003, 2007))
 
 

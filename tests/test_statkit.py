@@ -6,14 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import studentized_range
 
-from citemetric.errors import (
-    ConstantColumn,
-    DegenerateInput,
-    DomainError,
-    LengthMismatch,
-    RankDeficient,
-    TooFewGroups,
-)
+from citemetric.errors import DomainError
 from citemetric.statkit import (
     StatMethod,
     anova_oneway,
@@ -93,7 +86,7 @@ def test_spearman_matches_reference_on_random_tied_data():
         y = [rng.randint(0, 8) for _ in range(n)]
         try:
             ours = spearman(x, y)
-        except DegenerateInput:
+        except DomainError:
             assert len(set(x)) == 1 or len(set(y)) == 1
             continue
         assert ours.r == pytest.approx(spearman_r_reference(x, y), abs=1e-12)
@@ -110,9 +103,9 @@ def test_spearman_invariant_under_monotone_transform():
 
 
 def test_spearman_errors():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(DomainError, match="lengths differ: 3 vs 2"):
         spearman([1, 2, 3], [1, 2])
-    with pytest.raises(DegenerateInput):
+    with pytest.raises(DomainError, match="constant input leaves the correlation undefined"):
         spearman([1, 1, 1], [1, 2, 3])
     with pytest.raises(DomainError):
         spearman([1, 2], [1, 2])
@@ -251,14 +244,14 @@ def test_ols_vif_at_least_one_and_high_for_collinear():
 
 def test_ols_rank_deficient_design_raises():
     x1, _ = _grid(10)
-    with pytest.raises(RankDeficient):
+    with pytest.raises(DomainError, match="design matrix is numerically singular"):
         ols_fit(list(range(10)), [x1, x1])
-    with pytest.raises(RankDeficient):
+    with pytest.raises(DomainError, match="design matrix is numerically singular"):
         ols_fit(list(range(10)), [[3.0] * 10])  # constant column folds into the intercept
 
 
 def test_ols_input_validation():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(DomainError, match="predictor length differs from response length"):
         ols_fit([1, 2, 3], [[1, 2]])
     with pytest.raises(DomainError):
         ols_fit([1, 2, 3], [[1, 2, 3], [3, 2, 1]])  # n must exceed p + 1
@@ -289,9 +282,9 @@ def test_anova_hand_decomposition():
 
 
 def test_anova_requires_two_groups():
-    with pytest.raises(TooFewGroups):
+    with pytest.raises(DomainError, match="need at least two groups"):
         anova_oneway([[1, 2, 3]])
-    with pytest.raises(TooFewGroups):
+    with pytest.raises(DomainError, match="no within-group degrees of freedom"):
         anova_oneway([[1], [2]])
 
 
@@ -435,7 +428,7 @@ def test_pca_loadings_satisfy_the_eigen_equation(seed, n, p):
 
 
 def test_pca_rejects_constant_column_and_bad_shapes():
-    with pytest.raises(ConstantColumn):
+    with pytest.raises(DomainError, match="column 1 is constant"):
         pca_unrotated([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]])
     with pytest.raises(DomainError):
         pca_unrotated([[1.0, 2.0], [2.0, 1.0]])  # n must exceed p
