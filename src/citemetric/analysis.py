@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Callable, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 # filter_by_area and corpus_indicator_sets go unused here; bench/spans.py wraps them by name
 from .corpus import Area, IbnpCategory, JournalRecord, Library, filter_by_area
@@ -69,8 +68,7 @@ DEFAULT_COMPARE_VARIABLES = ("air_ibnp_log10", "ratio_ba", "pi_ld", "cr_ga_log10
 FACTOR_VARIABLES = ("h", "cr_ga_log10", "ca_mean")
 
 
-@dataclass(frozen=True)
-class ComparisonTable:
+class ComparisonTable(NamedTuple):
     dimension: GroupDimension
     area: Area
     rows: Tuple[GroupSummary, ...]
@@ -81,8 +79,7 @@ class ComparisonTable:
     alpha: float
 
 
-@dataclass(frozen=True)
-class CorrelationMatrix:
+class CorrelationMatrix(NamedTuple):
     variables: Tuple[str, ...]
     r: Tuple[Tuple[float, ...], ...]
     significant: Tuple[Tuple[bool, ...], ...]
@@ -282,7 +279,7 @@ def comparison_to_json(table: ComparisonTable) -> str:
         "alpha": table.alpha,
         "variables": list(table.tests.keys()),
         "rows": [
-            {f.name: _finite(getattr(row, f.name)) for f in fields(GroupSummary)}
+            {name: _finite(value) for name, value in zip(GroupSummary._fields, row)}
             for row in table.rows
         ],
         "tests": {

@@ -7,17 +7,14 @@ cuts and :func:`empirical_bounds` reads them off a ranking.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import re
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .corpus import IbnpCategory, JournalRecord
 from .errors import DomainError
-from .indicators import IndicatorSet
+from .indicators import IndicatorSet, csv_record
 
 
 #: conventional integer cutoffs: quartile 1 above 3, then 3, 2, 1 and below. As the
@@ -25,8 +22,7 @@ from .indicators import IndicatorSet
 FIXED_BOUNDS = (4, 3, 2)
 
 
-@dataclass(frozen=True)
-class ClassificationRow:
+class ClassificationRow(NamedTuple):
     rank: int
     title: str
     h: int
@@ -84,7 +80,7 @@ def assign_quartiles(
             quartile = 3
         else:
             quartile = 4
-        out.append(replace(row, quartile=quartile))
+        out.append(row._replace(quartile=quartile))
     return out
 
 
@@ -118,12 +114,8 @@ def emit_report(
         if top_quartiles is None or (row.quartile is not None and row.quartile <= top_quartiles)
     ]
     if fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(REPORT_COLUMNS)
-        for row in selected:
-            writer.writerow(_row_cells(row))
-        return buffer.getvalue().encode("utf-8")
+        lines = [csv_record(REPORT_COLUMNS)] + [csv_record(_row_cells(row)) for row in selected]
+        return "".join(lines).encode("utf-8")
     if fmt == "json":
         doc = [
             {

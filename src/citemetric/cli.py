@@ -4,6 +4,12 @@ regress, and classify, composed through the corpus JSON file.
 Exit codes: 0 success, 1 data error (diagnostic on stderr), 2 usage error.
 Outputs are written atomically (temp file plus rename), so a failing run
 never leaves a partial file behind.
+
+Each command imports only the modules it runs: ``indicators`` is loaded by
+the commands that read a corpus, ``classify`` by ``classify``, and
+``analysis`` (with ``statkit``) by ``compare``, ``correlate``, ``factor`` and
+``regress``. Every call goes through the module object, where
+``bench/spans.py`` finds the functions it wraps.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import tempfile
 from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
-from . import analysis, classify, indicators, ingest
+from . import ingest
 from .corpus import Area, filter_by_area
 from .errors import CitemetricError, DomainError
 from .ingest import DedupConfig
@@ -91,6 +97,8 @@ def _read_bytes(path: str) -> bytes:
 
 def _area_pairs(args, mean_mode: str = "ratios"):
     """Load --corpus, keep --area's journals if one is given, and compute indicators."""
+    from . import indicators
+
     # decoded here, so the file's bytes are freed before the parse starts
     corpus = ingest.corpus_from_json(_read_bytes(args.corpus).decode("utf-8-sig"))
     if args.area:
@@ -125,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--by", required=True, choices=["library", "category"])
     p.add_argument("--method", default="anova", choices=["anova", "kw"])
     p.add_argument("--alpha", type=_alpha, default=0.05)
-    p.add_argument("--vars", default=",".join(analysis.DEFAULT_COMPARE_VARIABLES))
+    p.add_argument("--vars")  # unset: analysis.DEFAULT_COMPARE_VARIABLES
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("correlate", help="rank-correlation matrix over chosen variables")
@@ -180,16 +188,25 @@ def _run_ingest(args) -> None:
 
 
 def _run_indicators(args) -> None:
+    from . import indicators
+
     pairs = _area_pairs(args, args.area_mean)
     _write_atomic(args.out, indicators.indicators_csv(pairs).encode("utf-8"))
 
 
+def _variables(text: str) -> list:
+    return [v for v in text.split(",") if v]
+
+
 def _run_compare(args) -> None:
+    from . import analysis
+
+    variables = analysis.DEFAULT_COMPARE_VARIABLES if args.vars is None else _variables(args.vars)
     table = analysis.compare_groups(
         _area_pairs(args),
         _AREAS[args.area],
         analysis.GroupDimension(args.by),
-        variables=[v for v in args.vars.split(",") if v],
+        variables=variables,
         method=args.method,
         alpha=args.alpha,
     )
@@ -197,25 +214,33 @@ def _run_compare(args) -> None:
 
 
 def _run_correlate(args) -> None:
+    from . import analysis
+
     matrix = analysis.correlation_matrix(
         _area_pairs(args),
-        variables=[v for v in args.vars.split(",") if v],
+        variables=_variables(args.vars),
         alpha=args.alpha,
     )
     _write_atomic(args.out, analysis.correlation_to_json(matrix).encode("utf-8"))
 
 
 def _run_factor(args) -> None:
+    from . import analysis
+
     result = analysis.citation_factor_analysis(_area_pairs(args))
     _write_atomic(args.out, analysis.factor_to_json(result).encode("utf-8"))
 
 
 def _run_regress(args) -> None:
+    from . import analysis
+
     result = analysis.citation_regression(_area_pairs(args), response=args.response)
     _write_atomic(args.out, analysis.regression_to_json(result, args.response).encode("utf-8"))
 
 
 def _run_classify(args) -> None:
+    from . import classify
+
     rows = classify.rank_journals(_area_pairs(args, args.area_mean))
     if args.quartile_mode == "fixed":
         bounds = classify.FIXED_BOUNDS

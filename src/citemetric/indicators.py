@@ -6,11 +6,9 @@ dividing by zero; undefined values serialize as empty cells, never NaN.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .corpus import (
     VISIBLE_STATUSES,
@@ -61,8 +59,7 @@ class IndicatorSet:
     cpn: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class GroupSummary:
+class GroupSummary(NamedTuple):
     label: str
     n_journals: int
     total_articles: int  # registry production
@@ -240,28 +237,46 @@ def _cell(value, decimals: int = 4) -> str:
     return f"{value:.{decimals}f}"
 
 
+_CSV_QUOTED = frozenset(',"\r\n')
+
+
+def _csv_cell(text: str) -> str:
+    if _CSV_QUOTED.isdisjoint(text):
+        return text
+    return '"' + text.replace('"', '""') + '"'
+
+
+def csv_record(cells: Sequence) -> str:
+    r"""One CSV record ending in a line feed; a cell holding a comma, a quote or
+    a line break (``\r`` or ``\n``) is quoted, with its quotes doubled.
+
+    For records of two or more cells without a ``\r`` that is what
+    ``csv.writer(buffer, lineterminator="\n")`` writes. Before Python 3.13
+    that writer leaves a lone ``\r`` bare, which splits the record for a
+    reader, and 3.10's refuses a NUL; this writes the same bytes on every version.
+    """
+    return ",".join(_csv_cell(str(cell)) for cell in cells) + "\n"
+
+
 def indicators_csv(pairs: Sequence[Tuple[JournalRecord, IndicatorSet]]) -> str:
     """Render the per-journal indicator table; reals carry 4 decimals."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(INDICATOR_CSV_HEADER.split(","))
+    lines = [INDICATOR_CSV_HEADER + "\n"]
     for journal, s in pairs:
-        writer.writerow(
-            [
-                journal.journal_id,
-                journal.title,
-                journal.area.value,
-                journal.category.value,
-                s.air_ibnp,
-                s.air_ga,
-                _cell(s.visibility_ratio),
-                s.cr_ga,
-                _cell(s.ca_mean),
-                s.h,
-                _cell(s.h_sc),
-                s.pi_ld,
-                s.pi_ibnp,
-                _cell(s.cpn),
-            ]
-        )
-    return buffer.getvalue()
+        cells = [
+            journal.journal_id,
+            journal.title,
+            journal.area.value,
+            journal.category.value,
+            s.air_ibnp,
+            s.air_ga,
+            _cell(s.visibility_ratio),
+            s.cr_ga,
+            _cell(s.ca_mean),
+            s.h,
+            _cell(s.h_sc),
+            s.pi_ld,
+            s.pi_ibnp,
+            _cell(s.cpn),
+        ]
+        lines.append(csv_record(cells))
+    return "".join(lines)

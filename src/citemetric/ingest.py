@@ -18,7 +18,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .corpus import (
     Area,
@@ -54,16 +54,14 @@ class DedupRule(str, Enum):
     INCOMPLETE_FIELDS = "IncompleteFields"
 
 
-@dataclass(frozen=True)
-class DedupDecision:
+class DedupDecision(NamedTuple):
     kept_line: int
     dropped_lines: Tuple[int, ...]
     rule: DedupRule
     similarity: Optional[float] = None  # only for SimilarTitle
 
 
-@dataclass(frozen=True)
-class IngestReport:
+class IngestReport(NamedTuple):
     rows_read: int
     rows_kept: int
     rows_dropped_incomplete: int

@@ -10,16 +10,19 @@ deterministic; accumulations use ``math.fsum``, which is correctly rounded,
 so sums do not depend on input order at all.
 
 numpy is imported inside ``ols_fit`` and ``pca_unrotated``, its only users, so
-importing this module (and every CLI command but ``factor`` and ``regress``)
-does not pay numpy's import time.
+importing this module does not pay numpy's import time. Of the CLI commands,
+only ``compare``, ``correlate``, ``factor`` and ``regress`` load this module,
+and only ``factor`` and ``regress`` load numpy.
+
+The result types are ``NamedTuple``s: they are only built and read, and a
+named tuple costs a fraction of a dataclass to define at import time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DomainError
 
@@ -33,8 +36,7 @@ class StatMethod(str, Enum):
     KRUSKAL_WALLIS_H = "KruskalWallisH"
 
 
-@dataclass(frozen=True)
-class TestResult:
+class TestResult(NamedTuple):
     statistic: float
     df1: float
     df2: Optional[float]
@@ -43,15 +45,13 @@ class TestResult:
     n: int
 
 
-@dataclass(frozen=True)
-class CorrelationResult:
+class CorrelationResult(NamedTuple):
     r: float
     n: int
     p_value: float
 
 
-@dataclass(frozen=True)
-class RegressionResult:
+class RegressionResult(NamedTuple):
     coefficients: Tuple[float, ...]  # intercept first
     r2: float
     r2_adjusted: float
@@ -63,8 +63,7 @@ class RegressionResult:
     n: int
 
 
-@dataclass(frozen=True)
-class FactorResult:
+class FactorResult(NamedTuple):
     eigenvalues: Tuple[float, ...]  # descending
     retained: int  # eigenvalues above 1
     loadings: Tuple[float, ...]  # first component only

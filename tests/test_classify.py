@@ -187,3 +187,17 @@ def test_csv_and_json_round_two_decimals():
 def test_unknown_format_is_rejected():
     with pytest.raises(DomainError):
         emit_report([], "xml")
+
+
+def test_csv_report_round_trips_titles_with_line_breaks():
+    """A lone carriage return is quoted like any line break on every Python
+    version, so a csv reader gets each row back whole."""
+    titles = ["Uno\rDos", "Tres\nCuatro", "Cinco\r\nSeis", 'Siete, "Ocho"', "Nueve\r"]
+    rows = assign_quartiles(
+        [_row(rank, 6 - rank, 1.0, title=title) for rank, title in enumerate(titles, 1)],
+        FIXED_BOUNDS,
+    )
+    read = list(csv.reader(io.StringIO(emit_report(rows, "csv").decode(), newline="")))
+    assert read[0] == ["rank", "title", "h", "category", "cpn", "quartile"]
+    assert [row[1] for row in read[1:]] == titles
+    assert {len(row) for row in read} == {6}

@@ -240,6 +240,17 @@ def test_empty_or_repeated_vars_is_a_one_line_data_error(
     assert not out.exists()
 
 
+def test_compare_without_vars_compares_the_table_five(tmp_path, capsys):
+    common = ["compare", "--corpus", str(BUNDLED_CORPUS), "--area", "ciencias", "--by", "library"]
+    assert main(common + ["--out", str(tmp_path / "default.json")]) == 0
+    named = "air_ibnp_log10,ratio_ba,pi_ld,cr_ga_log10,ca_mean"
+    assert main(common + ["--vars", named, "--out", str(tmp_path / "named.json")]) == 0
+    assert (tmp_path / "default.json").read_bytes() == (tmp_path / "named.json").read_bytes()
+    # an explicit empty list is still refused, not read as "no --vars"
+    assert main(common + ["--vars", "", "--out", str(tmp_path / "empty.json")]) == 1
+    assert capsys.readouterr().err == "citemetric compare: need at least one variable\n"
+
+
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
 def test_outputs_get_the_mode_a_plain_open_would_give(tmp_path, umask, mode):
     out = tmp_path / "table.csv"

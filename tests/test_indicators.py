@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import random
 from dataclasses import replace
@@ -22,6 +24,7 @@ from citemetric.indicators import (
     compute_indicator_set,
     corpus_indicator_sets,
     cpn,
+    csv_record,
     h_index,
     indicators_csv,
     log10_shifted,
@@ -366,3 +369,30 @@ def test_indicators_csv_undefined_quotients_render_empty():
     lines = indicators_csv([(journal, indicator)]).splitlines()
     cells = lines[1].split(",")
     assert cells[6] == "" and cells[8] == ""
+
+
+_AWKWARD_TITLES = ["Uno\rDos", "Tres\nCuatro", "Cinco\r\nSeis", 'Siete, "Ocho"', "Nueve\r"]
+
+
+def test_indicators_csv_round_trips_titles_with_line_breaks():
+    """A lone carriage return is quoted like any line break on every Python
+    version, so a csv reader gets each row back whole."""
+    pairs = []
+    for n, title in enumerate(_AWKWARD_TITLES):
+        journal = _journal(journal_id=f"j{n}", title=title)
+        pairs.append((journal, compute_indicator_set(journal, _records([2, 1]))))
+    rows = list(csv.reader(io.StringIO(indicators_csv(pairs), newline="")))
+    assert rows[0] == INDICATOR_CSV_HEADER.split(",")
+    assert [row[:2] for row in rows[1:]] == [[f"j{n}", t] for n, t in enumerate(_AWKWARD_TITLES)]
+    assert {len(row) for row in rows} == {14}
+
+
+# NUL is left out: csv.writer refuses it on 3.10
+_CSV_TEXT = st.text(st.characters(blacklist_characters="\r\x00"), max_size=8)
+
+
+@given(st.lists(st.one_of(_CSV_TEXT, st.integers()), min_size=2, max_size=6))
+def test_csv_record_writes_what_csv_writer_writes_without_carriage_returns(cells):
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow(cells)
+    assert csv_record(cells) == buffer.getvalue()
