@@ -106,66 +106,6 @@ def _area_pairs(args, mean_mode: str = "ratios"):
     return indicators.corpus_indicator_sets(corpus, mean_mode=mean_mode)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="citemetric",
-        description="Journal size, indexation and citation indicators with h-index classification.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest", help="parse registry and citation exports into a corpus JSON")
-    p.add_argument("--registry", required=True)
-    p.add_argument("--records-dir", required=True)
-    p.add_argument("--alias")
-    p.add_argument("--window", default="2003:2007")
-    p.add_argument("--title-threshold", type=_title_threshold, default=0.92)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("indicators", help="per-journal indicator table as CSV")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--area", required=True, choices=sorted(_AREAS))
-    p.add_argument("--area-mean", default="ratios", choices=_MEAN_MODES)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("compare", help="compare indicators across libraries or categories")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--area", required=True, choices=sorted(_AREAS))
-    p.add_argument("--by", required=True, choices=["library", "category"])
-    p.add_argument("--method", default="anova", choices=["anova", "kw"])
-    p.add_argument("--alpha", type=_alpha, default=0.05)
-    p.add_argument("--vars")  # unset: analysis.DEFAULT_COMPARE_VARIABLES
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("correlate", help="rank-correlation matrix over chosen variables")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--area", required=True, choices=sorted(_AREAS))
-    p.add_argument("--vars", required=True)
-    p.add_argument("--alpha", type=_alpha, default=0.05)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("factor", help="citation indicator factor analysis")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--area", required=True, choices=sorted(_AREAS))
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("regress", help="citation regression on size and indexation")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--area", required=True, choices=sorted(_AREAS))
-    p.add_argument("--response", default="logcr", choices=["logcr", "h"])
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("classify", help="h-ranked quartile classification table")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--area", choices=sorted(_AREAS))
-    p.add_argument("--quartile-mode", default="empirical", choices=["empirical", "fixed"])
-    p.add_argument("--area-mean", default="ratios", choices=_MEAN_MODES)
-    p.add_argument("--top", type=_top)
-    p.add_argument("--format", default="csv", choices=["csv", "json", "md"])
-    p.add_argument("--out", required=True)
-
-    return parser
-
-
 def _run_ingest(args) -> None:
     window = _parse_window(args.window)
     journals = ingest.parse_registry(_read_bytes(args.registry))
@@ -180,8 +120,8 @@ def _run_ingest(args) -> None:
     records_by_journal = {}
     for path in sorted(records_dir.glob("*.csv")):
         journal_id = path.stem
-        records = ingest.parse_citation_export(_read_bytes(str(path)), journal_id)
-        cleaned, _report = ingest.deduplicate(records, dedup_config)
+        records, lines = ingest.parse_citation_export(_read_bytes(str(path)), journal_id)
+        cleaned, _report = ingest.deduplicate(records, dedup_config, lines)
         records_by_journal[journal_id] = cleaned
     corpus = ingest.build_corpus(journals, records_by_journal, window)
     _write_atomic(args.out, ingest.corpus_to_json(corpus).encode("utf-8"))
@@ -250,22 +190,101 @@ def _run_classify(args) -> None:
     _write_atomic(args.out, classify.emit_report(rows, args.format, top_quartiles=args.top))
 
 
+_CORPUS = ("--corpus", {"required": True})
+_AREA = ("--area", {"required": True, "choices": sorted(_AREAS)})
+_AREA_MEAN = ("--area-mean", {"default": "ratios", "choices": _MEAN_MODES})
+_ALPHA = ("--alpha", {"type": _alpha, "default": 0.05})
+_OUT = ("--out", {"required": True})
+
+#: command -> (help, runner, its arguments as (flag, add_argument keywords))
 _COMMANDS = {
-    "ingest": _run_ingest,
-    "indicators": _run_indicators,
-    "compare": _run_compare,
-    "correlate": _run_correlate,
-    "factor": _run_factor,
-    "regress": _run_regress,
-    "classify": _run_classify,
+    "ingest": (
+        "parse registry and citation exports into a corpus JSON",
+        _run_ingest,
+        (
+            ("--registry", {"required": True}),
+            ("--records-dir", {"required": True}),
+            ("--alias", {}),
+            ("--window", {"default": "2003:2007"}),
+            ("--title-threshold", {"type": _title_threshold, "default": 0.92}),
+            _OUT,
+        ),
+    ),
+    "indicators": (
+        "per-journal indicator table as CSV",
+        _run_indicators,
+        (_CORPUS, _AREA, _AREA_MEAN, _OUT),
+    ),
+    "compare": (
+        "compare indicators across libraries or categories",
+        _run_compare,
+        (
+            _CORPUS,
+            _AREA,
+            ("--by", {"required": True, "choices": ["library", "category"]}),
+            ("--method", {"default": "anova", "choices": ["anova", "kw"]}),
+            _ALPHA,
+            ("--vars", {}),  # unset: analysis.DEFAULT_COMPARE_VARIABLES
+            _OUT,
+        ),
+    ),
+    "correlate": (
+        "rank-correlation matrix over chosen variables",
+        _run_correlate,
+        (_CORPUS, _AREA, ("--vars", {"required": True}), _ALPHA, _OUT),
+    ),
+    "factor": (
+        "citation indicator factor analysis",
+        _run_factor,
+        (_CORPUS, _AREA, _OUT),
+    ),
+    "regress": (
+        "citation regression on size and indexation",
+        _run_regress,
+        (_CORPUS, _AREA, ("--response", {"default": "logcr", "choices": ["logcr", "h"]}), _OUT),
+    ),
+    "classify": (
+        "h-ranked quartile classification table",
+        _run_classify,
+        (
+            _CORPUS,
+            ("--area", {"choices": sorted(_AREAS)}),
+            ("--quartile-mode", {"default": "empirical", "choices": ["empirical", "fixed"]}),
+            _AREA_MEAN,
+            ("--top", {"type": _top}),
+            ("--format", {"default": "csv", "choices": ["csv", "json", "md"]}),
+            _OUT,
+        ),
+    ),
 }
 
 
+def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """Every command with its help, and the arguments of the one argv names.
+
+    One run parses one command, so only its subparser gets arguments; adding
+    an argument is most of what building a parser costs.
+    """
+    parser = argparse.ArgumentParser(
+        prog="citemetric",
+        description="Journal size, indexation and citation indicators with h-index classification.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _run, arguments) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        if argv and argv[0] == name:
+            for flag, keywords in arguments:
+                command.add_argument(flag, **keywords)
+    return parser
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _build_parser(argv).parse_args(argv)
+    _help, run, _arguments = _COMMANDS[args.command]
     try:
-        _COMMANDS[args.command](args)
+        run(args)
     except (CitemetricError, ValueError, OSError) as error:
         print(f"citemetric {args.command}: {error}", file=sys.stderr)
         return 1

@@ -6,9 +6,8 @@ threads. Serialization lives in :mod:`citemetric.ingest`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 DEFAULT_WINDOW: Tuple[int, int] = (2003, 2007)
 
@@ -44,16 +43,7 @@ class ArticleStatus(str, Enum):
 VISIBLE_STATUSES = frozenset({ArticleStatus.KEPT, ArticleStatus.NEEDS_REVIEW})
 
 
-# Records are slotted: one corpus load builds tens of thousands of them, and
-# slots hold a record in less memory than an instance dict. A frozen __init__
-# stores each field through object.__setattr__, ten calls per article record,
-# which was a third of loading a large corpus JSON; so that load fills an
-# _ArticleRecordBuilder with plain slot stores instead and then sets its
-# __class__ to ArticleRecord. This is safe because the builder's slots are
-# ArticleRecord's own: CPython refuses a __class__ assignment between layouts
-# that differ, so a drift between the two raises TypeError on the first record.
-@dataclass(frozen=True, slots=True)
-class JournalRecord:
+class JournalRecord(NamedTuple):
     journal_id: str
     title: str
     area: Area
@@ -62,8 +52,7 @@ class JournalRecord:
     memberships: frozenset = frozenset()  # of Library
 
 
-@dataclass(frozen=True, slots=True)
-class ArticleRecord:
+class ArticleRecord(NamedTuple):
     journal_id: str
     title: str
     year: Optional[int]  # None means the export row had no year
@@ -73,22 +62,9 @@ class ArticleRecord:
     publisher: str = ""
     url: str = ""
     status: ArticleStatus = ArticleStatus.KEPT
-    # export line the record was parsed from, named in cleaning decisions. Only
-    # the export parser sets it, after construction, so records built elsewhere
-    # (from corpus JSON, say) keep None and take no argument for it. It is not
-    # serialized, takes no part in equality, and dataclasses.replace does not
-    # carry it over.
-    line_number: Optional[int] = field(default=None, init=False, compare=False, repr=False)
 
 
-class _ArticleRecordBuilder:
-    """A mutable ArticleRecord layout: set every slot, then the class."""
-
-    __slots__ = ArticleRecord.__slots__
-
-
-@dataclass(frozen=True)
-class JournalCorpus:
+class JournalCorpus(NamedTuple):
     journals: Tuple[JournalRecord, ...]
     articles: Tuple[ArticleRecord, ...]
     window: Tuple[int, int] = DEFAULT_WINDOW

@@ -7,7 +7,6 @@ dividing by zero; undefined values serialize as empty cells, never NaN.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .corpus import (
@@ -44,8 +43,7 @@ CATEGORY_SCORES = {
 }
 
 
-@dataclass(frozen=True)
-class IndicatorSet:
+class IndicatorSet(NamedTuple):
     journal_id: str
     air_ibnp: int
     air_ga: int
@@ -224,7 +222,7 @@ def corpus_indicator_sets(
     for journal, indicator in pairs:
         area_mean = area_means.get(journal.area)
         if area_mean is not None and indicator.ca_mean is not None and area_mean > 0:
-            indicator = replace(indicator, cpn=cpn(indicator, area_mean))
+            indicator = indicator._replace(cpn=cpn(indicator, area_mean))
         out.append((journal, indicator))
     return out
 

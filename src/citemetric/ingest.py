@@ -16,8 +16,8 @@ import re
 import unicodedata
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
 from enum import Enum
+from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .corpus import (
@@ -29,7 +29,6 @@ from .corpus import (
     JournalCorpus,
     JournalRecord,
     Library,
-    _ArticleRecordBuilder,
     validate_corpus,
 )
 from .errors import BadCell, DomainError, DuplicateId, MalformedCorpus, MalformedHeader
@@ -70,16 +69,10 @@ class IngestReport(NamedTuple):
     decisions: Tuple[DedupDecision, ...]
 
 
-@dataclass(frozen=True)
-class DedupConfig:
+class DedupConfig(NamedTuple):
     window: Tuple[int, int] = DEFAULT_WINDOW
-    title_threshold: float = 0.92
-    alias_map: Mapping[str, str] = field(default_factory=dict)
-
-    def __post_init__(self):
-        # also rejects NaN, which would otherwise reach the edit-budget derivation
-        if not 0.0 < self.title_threshold <= 1.0:
-            raise DomainError(f"title threshold must lie in (0, 1], got {self.title_threshold}")
+    title_threshold: float = 0.92  # in (0, 1]; deduplicate checks it
+    alias_map: Mapping[str, str] = MappingProxyType({})
 
 
 def _decode(content) -> str:
@@ -88,29 +81,40 @@ def _decode(content) -> str:
     return content.lstrip("﻿")
 
 
+_LINE_BREAK = re.compile(r"\r\n?|\n")  # the line ends a csv reader counts
+
+
 def _read_rows(content, expected_header: str) -> list[Tuple[int, list[str]]]:
     """Parse CSV content into (line number, cells) pairs, enforcing the exact
     header and the cell count of every row; cells are in header order."""
     text = _decode(content)
+    # csv refuses a NUL before Python 3.11 and reads it as text after
+    nul = text.find("\0")
+    if nul >= 0:
+        raise BadCell(len(_LINE_BREAK.findall(text, 0, nul)) + 1, "*", "contains a NUL byte")
     reader = csv.reader(io.StringIO(text, newline=""))
-    header_cells = next(reader, None)
-    if header_cells is None:
-        raise MalformedHeader(expected_header, "")
-    header = ",".join(cell.strip() for cell in header_cells)
-    if header != expected_header:
-        raise MalformedHeader(expected_header, header)
-    width = len(header_cells)
-    out = []
-    # a quoted cell may span lines, so a record starts one past the line the
-    # reader had reached after the record before it
-    line_number = reader.line_num + 1
-    for cells in reader:
-        start, line_number = line_number, reader.line_num + 1
-        if not cells:
-            continue  # blank trailing line
-        if len(cells) != width:
-            raise BadCell(start, "*", f"expected {width} cells, found {len(cells)}")
-        out.append((start, cells))
+    line_number = 1  # where the record being read starts
+    try:
+        header_cells = next(reader, None)
+        if header_cells is None:
+            raise MalformedHeader(expected_header, "")
+        header = ",".join(cell.strip() for cell in header_cells)
+        if header != expected_header:
+            raise MalformedHeader(expected_header, header)
+        width = len(header_cells)
+        out = []
+        # a quoted cell may span lines, so a record starts one past the line
+        # the reader had reached after the record before it
+        line_number = reader.line_num + 1
+        for cells in reader:
+            start, line_number = line_number, reader.line_num + 1
+            if not cells:
+                continue  # blank trailing line
+            if len(cells) != width:
+                raise BadCell(start, "*", f"expected {width} cells, found {len(cells)}")
+            out.append((start, cells))
+    except csv.Error as error:  # a cell over csv.field_size_limit(), say
+        raise BadCell(line_number, "*", str(error)) from None
     return out
 
 
@@ -168,9 +172,13 @@ def parse_registry(content) -> list[JournalRecord]:
     return journals
 
 
-def parse_citation_export(content, journal_id: str) -> list[ArticleRecord]:
-    """Parse one citation-export CSV; all records come back with status Kept."""
+def parse_citation_export(
+    content, journal_id: str
+) -> tuple[list[ArticleRecord], list[int]]:
+    """Parse one citation-export CSV into its records, all with status Kept,
+    and the export line each record starts on (for :func:`deduplicate`)."""
     records: list[ArticleRecord] = []
+    lines: list[int] = []
     for line, (cites, authors, title, year, publication, publisher, url) in _read_rows(
         content, EXPORT_HEADER
     ):
@@ -186,9 +194,9 @@ def parse_citation_export(content, journal_id: str) -> list[ArticleRecord]:
             url=url.strip(),
             status=ArticleStatus.KEPT,
         )
-        object.__setattr__(record, "line_number", line)  # frozen, init=False field
         records.append(record)
-    return records
+        lines.append(line)
+    return records, lines
 
 
 def parse_alias_file(content) -> dict[str, str]:
@@ -292,16 +300,23 @@ def _exact_similarity(a: str, b: str, budget: Sequence[int]) -> float:
 
 
 def deduplicate(
-    records: Sequence[ArticleRecord], config: DedupConfig
+    records: Sequence[ArticleRecord],
+    config: DedupConfig,
+    lines: Optional[Sequence[int]] = None,
 ) -> tuple[list[ArticleRecord], IngestReport]:
     """Apply the three cleaning criteria and return restatused records plus a report.
 
     Order matters: incomplete rows leave first, similar-title groups collapse
     second (highest cites wins, earlier row wins ties), and cross-language
     suspects are flagged last. All decisions are deterministic in input order.
-    A decision names the export lines of its rows; a record without a
-    ``line_number`` counts as line ``index + 2`` (data starts under the header).
+    A decision names the export lines of its rows, ``lines[i]`` for
+    ``records[i]``, as :func:`parse_citation_export` returns them; without
+    ``lines``, record ``i`` counts as line ``i + 2`` (data starts under the
+    header).
     """
+    # also rejects NaN, which would otherwise reach the edit-budget derivation
+    if not 0.0 < config.title_threshold <= 1.0:
+        raise DomainError(f"title threshold must lie in (0, 1], got {config.title_threshold}")
     ids = {r.journal_id for r in records}
     if len(ids) > 1:
         raise DomainError(f"records span journals {sorted(ids)}")
@@ -309,10 +324,10 @@ def deduplicate(
     start, end = config.window
     statuses: dict[int, ArticleStatus] = {}
     decisions: list[DedupDecision] = []
-    lines = [
-        i + 2 if record.line_number is None else record.line_number
-        for i, record in enumerate(records)
-    ]
+    if lines is None:
+        lines = range(2, len(records) + 2)
+    elif len(lines) != len(records):
+        raise DomainError(f"{len(records)} records but {len(lines)} line numbers")
 
     for i, record in enumerate(records):
         incomplete = (
@@ -433,7 +448,7 @@ def deduplicate(
                 DedupDecision(min(lines[i], lines[j]), (), DedupRule.CROSS_LANGUAGE_SUSPECT)
             )
 
-    restatused = [replace(r, status=statuses[i]) for i, r in enumerate(records)]
+    restatused = [r._replace(status=statuses[i]) for i, r in enumerate(records)]
     counts = {status: 0 for status in ArticleStatus}
     for status in statuses.values():
         counts[status] += 1
@@ -539,10 +554,9 @@ def _scalar_fault(where: str, name: str, value, expected: str) -> TypeError:
 def _article(a, index) -> ArticleRecord:
     """Build one article record of a corpus JSON document, checking its fields.
 
-    The record is an :class:`_ArticleRecordBuilder` filled with plain slot
-    stores and then given its class; see the note above the record classes
-    in :mod:`citemetric.corpus`.
-    ``type(...) is int`` refuses ``bool``, which is an ``int`` subclass.
+    ``type(...) is int`` refuses ``bool``, which is an ``int`` subclass. The
+    record is built by ``tuple.__new__``, skipping the keyword handling of
+    ``ArticleRecord``'s own constructor, once per article of a large corpus.
     """
     journal_id, year, cites = a["journal_id"], a["year"], a["cites"]
     title = a["title"]
@@ -566,19 +580,10 @@ def _article(a, index) -> ArticleRecord:
         raise _scalar_fault(f"article {index}", "publisher", publisher, "str")
     if type(url) is not str:
         raise _scalar_fault(f"article {index}", "url", url, "str")
-    record = _ArticleRecordBuilder()
-    record.journal_id = journal_id
-    record.title = title
-    record.year = year
-    record.cites = cites
-    record.authors = authors
-    record.publication = publication
-    record.publisher = publisher
-    record.url = url
-    record.status = _STATUS_BY_VALUE[a["status"]]
-    record.line_number = None
-    record.__class__ = ArticleRecord
-    return record
+    status = _STATUS_BY_VALUE[a["status"]]
+    return tuple.__new__(
+        ArticleRecord, (journal_id, title, year, cites, authors, publication, publisher, url, status)
+    )
 
 
 def _article_or_object(obj: dict):
@@ -600,14 +605,18 @@ def corpus_from_json(content) -> JournalCorpus:
     a journal without an ibnp total, or a window that is not two int years
     in order) raises :class:`MalformedCorpus` naming the section it was
     found in. So does a well-formed document that :func:`validate_corpus`
-    finds fault with, naming its first violation.
+    finds fault with, naming its first violation, and a document nested
+    deeper than the JSON parser can recurse.
 
     ``content`` is the document's text or its UTF-8 bytes; given text, the
     caller can free the bytes before the parse. Each article becomes its
     record as soon as the parser has read it, so the parsed objects of a
     large corpus never exist all at once.
     """
-    doc = json.loads(_decode(content), object_hook=_article_or_object)
+    try:
+        doc = json.loads(_decode(content), object_hook=_article_or_object)
+    except RecursionError:
+        raise MalformedCorpus("corpus JSON is nested too deeply") from None
     with _section("journals"):
         rows = [
             (

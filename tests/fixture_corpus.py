@@ -169,8 +169,8 @@ def build_fixture_corpus() -> JournalCorpus:
     config = DedupConfig(window=WINDOW)
     records = {}
     for index, (journal_id, *_rest) in enumerate(all_journals()):
-        parsed = parse_citation_export(export_csv(index), journal_id)
-        records[journal_id], _report = deduplicate(parsed, config)
+        parsed, lines = parse_citation_export(export_csv(index), journal_id)
+        records[journal_id], _report = deduplicate(parsed, config, lines)
     return build_corpus(journals, records, WINDOW)
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -218,7 +217,7 @@ def deduplicate_reference(
                 DedupDecision(min(_line_of(i), _line_of(j)), (), DedupRule.CROSS_LANGUAGE_SUSPECT)
             )
 
-    restatused = [replace(r, status=statuses[i]) for i, r in enumerate(records)]
+    restatused = [r._replace(status=statuses[i]) for i, r in enumerate(records)]
     counts = {status: 0 for status in ArticleStatus}
     for status in statuses.values():
         counts[status] += 1

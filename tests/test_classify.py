@@ -61,9 +61,7 @@ def test_equal_h_breaks_ties_by_normalized_citation():
 def test_missing_cpn_is_an_error():
     pairs = corpus_indicator_sets(build_fixture_corpus())
     journal, indicator = pairs[0]
-    from dataclasses import replace
-
-    broken = [(journal, replace(indicator, cpn=None))]
+    broken = [(journal, indicator._replace(cpn=None))]
     with pytest.raises(DomainError, match="has no normalized citation value"):
         rank_journals(broken)
 

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -151,16 +152,63 @@ def test_end_to_end_runs_are_byte_identical(tmp_path):
     assert outputs["one"] == outputs["two"]
 
 
-def test_unknown_subcommand_exits_with_usage_error():
+def test_unknown_subcommand_exits_with_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 2
+    assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
 
 
-def test_missing_required_flag_exits_with_usage_error():
+def test_missing_required_flag_exits_with_usage_error(capsys):
+    for argv, missing in (
+        (["classify"], "--corpus, --out"),
+        (["indicators", "--corpus", "c.json", "--area", "ciencias"], "--out"),
+    ):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert capsys.readouterr().err.endswith(f"the following arguments are required: {missing}\n")
+
+
+COMMAND_HELP = {
+    "ingest": "parse registry and citation exports into a corpus JSON",
+    "indicators": "per-journal indicator table as CSV",
+    "compare": "compare indicators across libraries or categories",
+    "correlate": "rank-correlation matrix over chosen variables",
+    "factor": "citation indicator factor analysis",
+    "regress": "citation regression on size and indexation",
+    "classify": "h-ranked quartile classification table",
+}
+COMMAND_OPTIONS = {
+    "ingest": {"--registry", "--records-dir", "--alias", "--window", "--title-threshold", "--out"},
+    "indicators": {"--corpus", "--area", "--area-mean", "--out"},
+    "compare": {"--corpus", "--area", "--by", "--method", "--alpha", "--vars", "--out"},
+    "correlate": {"--corpus", "--area", "--vars", "--alpha", "--out"},
+    "factor": {"--corpus", "--area", "--out"},
+    "regress": {"--corpus", "--area", "--response", "--out"},
+    "classify": {
+        "--corpus", "--area", "--quartile-mode", "--area-mean", "--top", "--format", "--out",
+    },
+}
+
+
+def _help(argv, capsys) -> str:
     with pytest.raises(SystemExit) as info:
-        main(["classify"])
-    assert info.value.code == 2
+        main(argv)
+    assert info.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_help_names_every_command_and_each_command_its_own_options(capsys):
+    """The parser adds arguments only to the command it runs; every help
+    text still shows what it did when all seven were built."""
+    top = _help(["--help"], capsys)
+    for command, help_text in COMMAND_HELP.items():
+        assert re.search(rf"^ +{command} +{re.escape(help_text)}$", top, re.MULTILINE), command
+    for command, options in COMMAND_OPTIONS.items():
+        text = _help([command, "--help"], capsys)
+        assert text.startswith(f"usage: citemetric {command} [-h]")
+        assert set(re.findall(r"--[a-z][a-z-]*", text)) - {"--help"} == options, command
 
 
 def test_bad_registry_header_is_a_data_error(tmp_path, capsys):
@@ -207,7 +255,7 @@ def test_alpha_and_top_out_of_range_exit_with_usage_error(tmp_path, capsys):
     corpus = ["--corpus", str(BUNDLED_CORPUS), "--area", "ciencias"]
     correlate = ["correlate", *corpus, "--vars", "h,pi_ld"]
     cases = [(correlate, "--alpha", v) for v in ("1.5", "0", "1", "-0.1", "nan", "inf", "x")]
-    cases += [(["compare", *corpus, "--by", "category"], "--alpha", "1.5")]
+    cases += [(["compare", *corpus, "--by", "category"], "--alpha", v) for v in ("1.5", "2")]
     cases += [(["classify", *corpus], "--top", v) for v in ("-1", "0", "2.5", "x")]
     out = tmp_path / "out"
     for command, flag, value in cases:
@@ -280,6 +328,64 @@ def test_bad_title_threshold_exits_with_usage_error(tmp_path, threshold, capsys)
         )
     assert info.value.code == 2
     assert "--title-threshold" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _nul_in_registry_title(registry, records, alias):
+    lines = registry.read_text(encoding="utf-8").split("\n")
+    lines[2] = lines[2].replace(",", "\0,", 2)
+    registry.write_text("\n".join(lines), encoding="utf-8")
+
+
+def _nul_in_export_authors(registry, records, alias):
+    export = sorted(records.glob("*.csv"))[0]
+    lines = export.read_text(encoding="utf-8").split("\n")
+    lines[3] = lines[3].replace(",", ",A\0,", 1)
+    export.write_text("\n".join(lines), encoding="utf-8")
+
+
+def _nul_in_alias(registry, records, alias):
+    # CRLF line ends and a quoted cell over two lines put the NUL on line 4
+    text = 'from_title,to_title\r\n"Clima\r\ny suelo",Climate\r\nSuelo\0,Soil\r\n'
+    alias.write_bytes(text.encode("utf-8"))
+
+
+def _export_cell_over_the_csv_field_limit(registry, records, alias):
+    export = sorted(records.glob("*.csv"))[0]
+    lines = export.read_text(encoding="utf-8").split("\n")
+    lines[3] = lines[3].replace(",", "," + "A" * 200_000, 1)
+    export.write_text("\n".join(lines), encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "damage, says",
+    [
+        (_nul_in_registry_title, "line 3, column '*': contains a NUL byte"),
+        (_nul_in_export_authors, "line 4, column '*': contains a NUL byte"),
+        (_nul_in_alias, "line 4, column '*': contains a NUL byte"),
+        (_export_cell_over_the_csv_field_limit, "line 4, column '*': field larger than"),
+    ],
+)
+def test_unreadable_csv_input_is_a_one_line_data_error(tmp_path, capsys, damage, says):
+    registry, records = write_fixture_tree(tmp_path)
+    alias = tmp_path / "alias.csv"
+    alias.write_text("from_title,to_title\n", encoding="utf-8")
+    damage(registry, records, alias)
+    out = tmp_path / "corpus.json"
+    args = ["ingest", "--registry", str(registry), "--records-dir", str(records)]
+    assert main(args + ["--alias", str(alias), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("citemetric ingest: ") and says in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_deeply_nested_corpus_json_is_a_one_line_data_error(tmp_path, capsys):
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text("[" * 200_000, encoding="utf-8")
+    out = tmp_path / "table.csv"
+    assert main(["classify", "--corpus", str(corpus), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "citemetric classify: corpus JSON is nested too deeply\n"
     assert not out.exists()
 
 

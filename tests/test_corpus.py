@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from citemetric.corpus import (
@@ -123,15 +121,6 @@ def test_filter_by_area_is_idempotent():
 
 def test_records_are_frozen_and_slotted():
     for record, name in ((_journal(), "title"), (_article(), "cites")):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             setattr(record, name, getattr(record, name))
         assert not hasattr(record, "__dict__")
-
-
-def test_line_number_takes_no_part_in_equality_or_hash():
-    first, second = _article(), _article()
-    object.__setattr__(first, "line_number", 7)
-    assert (first.line_number, second.line_number) == (7, None)
-    assert first == second and hash(first) == hash(second)
-    assert dataclasses.replace(first, cites=2).line_number is None
-    assert first != dataclasses.replace(first, cites=2)

@@ -362,10 +362,10 @@ def test_decision_lines_follow_the_export_past_blank_lines():
         + "\n2,,Suelos del páramo.,2005,,,"
         + "\n1,,Sin fecha,,,,\n"
     )
-    records = parse_citation_export(content, "j1")
-    assert [r.line_number for r in records] == [2, 4, 5, 6]
-    assert records[0] == _record("Efecto del clima", cites=3)  # equality ignores the line
-    _, report = deduplicate(records, CONFIG)
+    records, lines = parse_citation_export(content, "j1")
+    assert lines == [2, 4, 5, 6]
+    assert records[0] == _record("Efecto del clima", cites=3)
+    _, report = deduplicate(records, CONFIG, lines)
     incomplete, similar = report.decisions
     assert incomplete.dropped_lines == (6,)
     assert (similar.kept_line, similar.dropped_lines) == (4, (5,))
@@ -378,15 +378,20 @@ def test_decision_lines_follow_the_export_past_a_multi_line_cell():
         + "\n5,,Suelos del paramo,2005,,,"
         + "\n2,,Suelos del páramo.,2005,,,\n"
     )
-    records = parse_citation_export(content, "j1")
-    assert [r.line_number for r in records] == [2, 4, 5]
+    records, lines = parse_citation_export(content, "j1")
+    assert lines == [2, 4, 5]
     assert records[0].authors == "Smith,\nJ"
-    _, report = deduplicate(records, CONFIG)
+    _, report = deduplicate(records, CONFIG, lines)
     (similar,) = report.decisions
     assert (similar.kept_line, similar.dropped_lines) == (4, (5,))
 
 
 @pytest.mark.parametrize("threshold", [0.0, -0.5, 1.5, math.nan, math.inf])
 def test_dedup_config_rejects_threshold_outside_unit_interval(threshold):
-    with pytest.raises(DomainError):
-        DedupConfig(title_threshold=threshold)
+    with pytest.raises(DomainError, match="title threshold must lie in"):
+        deduplicate([_record("Nota")], DedupConfig(title_threshold=threshold))
+
+
+def test_deduplicate_refuses_line_numbers_of_another_length():
+    with pytest.raises(DomainError, match="2 records but 1 line numbers"):
+        deduplicate([_record("Nota"), _record("Otra nota")], CONFIG, [2])

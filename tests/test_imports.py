@@ -86,6 +86,41 @@ def test_ingest_indicators_and_classify_never_load_the_statistics(tmp_path):
     assert {"citemetric.analysis", "citemetric.statkit"} <= set(modules)
 
 
+_PROBE_STDLIB = """
+import json, sys
+before = set(sys.modules)  # site may have loaded some modules already
+from citemetric.cli import main
+
+added = []
+for argv in json.loads(sys.argv[1]):
+    if argv[0] in ("factor", "regress"):
+        import numpy  # numpy loads inspect itself
+        before |= set(sys.modules)
+    assert main(argv) == 0, argv
+    added.append(sorted({"dataclasses", "inspect"} & (set(sys.modules) - before)))
+print(json.dumps(added))
+"""
+
+
+def test_no_command_loads_dataclasses_or_inspect(tmp_path):
+    """``dataclasses``, which loads ``inspect``, ``ast``, ``dis`` and
+    ``tokenize``, cost a command more start-up than anything else the
+    package imported."""
+    registry, records = write_fixture_tree(tmp_path)
+    corpus = ["--corpus", BUNDLED_CORPUS, "--area", "ciencias", "--out", str(tmp_path / "out")]
+    commands = [
+        ["ingest", "--registry", str(registry), "--records-dir", str(records), *corpus[-2:]],
+        ["indicators", *corpus],
+        ["compare", *corpus, "--by", "category"],
+        ["correlate", *corpus, "--vars", "h,pi_ld"],
+        ["classify", *corpus],
+        ["factor", *corpus],
+        ["regress", *corpus],
+    ]
+    added = json.loads(_fresh_python(_PROBE_STDLIB, json.dumps(commands)))
+    assert added == [[]] * len(commands)
+
+
 def test_every_exported_name_resolves_to_its_module():
     assert set(citemetric.__all__) == EAGER_NAMES
     assert len(citemetric.__all__) == len(EAGER_NAMES)

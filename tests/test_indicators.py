@@ -2,7 +2,6 @@ import csv
 import io
 import math
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -326,11 +325,11 @@ def test_summarize_group_is_bit_identical_under_shuffled_input():
 def test_corpus_indicator_sets_match_a_per_journal_scan():
     corpus = build_fixture_corpus()
     articles = [
-        replace(a, status=ArticleStatus.NEEDS_REVIEW) if i % 7 == 0 else a
+        a._replace(status=ArticleStatus.NEEDS_REVIEW) if i % 7 == 0 else a
         for i, a in enumerate(corpus.articles)
     ]
     random.Random(11).shuffle(articles)
-    corpus = replace(corpus, articles=tuple(articles))
+    corpus = corpus._replace(articles=tuple(articles))
 
     expected = []
     for journal in corpus.journals:
@@ -342,7 +341,7 @@ def test_corpus_indicator_sets_match_a_per_journal_scan():
         expected.append((journal, compute_indicator_set(journal, visible)))
     areas = {journal.area for journal, _ in expected}
     stats = {a: area_mean_citation([s for j, s in expected if j.area is a]) for a in areas}
-    expected = [(j, replace(s, cpn=cpn(s, stats[j.area]))) for j, s in expected]
+    expected = [(j, s._replace(cpn=cpn(s, stats[j.area]))) for j, s in expected]
     assert corpus_indicator_sets(corpus) == expected
 
 
