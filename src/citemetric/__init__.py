@@ -6,7 +6,7 @@ attribute, imports the module that defines it. So a command pays only for the
 modules it runs.
 """
 
-from importlib import import_module
+import sys
 
 _EXPORTS = {
     "corpus": (
@@ -63,12 +63,19 @@ __all__ = list(_MODULE_OF)
 __version__ = "0.1.0"
 
 
+def _load(module: str):
+    # __import__, not importlib.import_module: -X importtime logs only the former
+    name = f"{__name__}.{module}"
+    __import__(name)
+    return sys.modules[name]
+
+
 def __getattr__(name: str):
     if name in _SUBMODULES:
-        return import_module(f".{name}", __name__)  # the import binds the attribute
+        return _load(name)
     if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    value = getattr(_load(_MODULE_OF[name]), name)
     globals()[name] = value  # later reads skip this hook
     return value
 

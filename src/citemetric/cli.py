@@ -10,15 +10,24 @@ the commands that read a corpus, ``classify`` by ``classify``, and
 ``analysis`` (with ``statkit``) by ``compare``, ``correlate``, ``factor`` and
 ``regress``. Every call goes through the module object, where
 ``bench/spans.py`` finds the functions it wraps.
+
+A well-formed argv never imports argparse. ``_read_argv`` reads the
+command's name followed by ``--flag value`` pairs straight from
+``_COMMANDS``: each flag of that command at most once and spelled out in
+full, each value a separate word that does not start with ``-``, every
+required flag present, and every value passing its type and choices.
+Anything else (``--help``, ``--flag=value``, an abbreviated, unknown,
+repeated or missing flag, a bad value) goes to argparse, which parses it
+from the same table and writes every help, usage and error message.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Optional, Sequence, Tuple
 
 from . import ingest
@@ -41,18 +50,25 @@ def _parse_window(text: str) -> Tuple[int, int]:
     return window
 
 
+def _type_error(message: str) -> Exception:
+    """The error an argparse type raises; argparse is imported only on this path."""
+    import argparse
+
+    return argparse.ArgumentTypeError(message)
+
+
 def _number(text: str, kind=float):
     try:
         return kind(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        raise _type_error(f"not a number: {text!r}") from None
 
 
 def _title_threshold(text: str) -> float:
     """argparse type for --title-threshold: a number in (0, 1]; NaN is refused."""
     value = _number(text)
     if not 0.0 < value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in (0, 1], got {text!r}")
+        raise _type_error(f"must lie in (0, 1], got {text!r}")
     return value
 
 
@@ -60,7 +76,7 @@ def _alpha(text: str) -> float:
     """argparse type for --alpha: a number in (0, 1); NaN is refused."""
     value = _number(text)
     if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text!r}")
+        raise _type_error(f"must lie in (0, 1), got {text!r}")
     return value
 
 
@@ -68,7 +84,7 @@ def _top(text: str) -> int:
     """argparse type for --top: a whole number of leading quartiles, at least 1."""
     value = _number(text, int)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+        raise _type_error(f"must be at least 1, got {text!r}")
     return value
 
 
@@ -259,12 +275,45 @@ _COMMANDS = {
 }
 
 
-def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+def _read_argv(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The namespace argparse would build for ``<command> --flag value ...``,
+    or None for any argv this reader does not take (see the module docstring).
+    """
+    if not argv or argv[0] not in _COMMANDS or len(argv) % 2 == 0:
+        return None
+    arguments = dict(_COMMANDS[argv[0]][2])
+    given = dict(zip(argv[1::2], argv[2::2]))
+    if len(given) != len(argv) // 2 or not given.keys() <= arguments.keys():
+        return None
+    values = {"command": argv[0]}
+    for flag, keywords in arguments.items():
+        dest = flag[2:].replace("-", "_")
+        if flag not in given:
+            if keywords.get("required"):
+                return None
+            values[dest] = keywords.get("default")
+            continue
+        text = given[flag]
+        if text.startswith("-"):
+            return None
+        try:
+            value = keywords["type"](text) if "type" in keywords else text
+        except Exception:  # argparse runs the type again and reports the failure
+            return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        values[dest] = value
+    return SimpleNamespace(**values)
+
+
+def _build_parser(argv: Sequence[str]):
     """Every command with its help, and the arguments of the one argv names.
 
     One run parses one command, so only its subparser gets arguments; adding
     an argument is most of what building a parser costs.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="citemetric",
         description="Journal size, indexation and citation indicators with h-index classification.",
@@ -281,7 +330,9 @@ def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _build_parser(argv).parse_args(argv)
+    args = _read_argv(argv)
+    if args is None:
+        args = _build_parser(argv).parse_args(argv)
     _help, run, _arguments = _COMMANDS[args.command]
     try:
         run(args)

@@ -118,11 +118,15 @@ def _read_rows(content, expected_header: str) -> list[Tuple[int, list[str]]]:
     return out
 
 
+# a sign and ASCII digits; int() alone would also read "1_0" and non-ASCII digits
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
 def _int_cell(line: int, column: str, value: str, minimum: int = 0) -> int:
-    try:
-        parsed = int(value.strip())
-    except ValueError:
-        raise BadCell(line, column, f"not an integer: {value!r}") from None
+    text = value.strip()
+    if not _INTEGER.fullmatch(text):
+        raise BadCell(line, column, f"not an integer: {value!r}")
+    parsed = int(text)
     if parsed < minimum:
         raise BadCell(line, column, f"below {minimum}: {parsed}")
     return parsed

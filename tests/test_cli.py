@@ -13,7 +13,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from citemetric import analysis
-from citemetric.cli import _parse_window, main
+from citemetric.cli import (
+    _COMMANDS,
+    _alpha,
+    _build_parser,
+    _parse_window,
+    _read_argv,
+    _title_threshold,
+    _top,
+    main,
+)
 from citemetric.errors import DomainError
 from fixture_corpus import bench_module, write_fixture_tree
 
@@ -656,6 +665,127 @@ def test_parse_window():
     assert _parse_window("2003:2007") == (2003, 2007)
     with pytest.raises(DomainError):
         _parse_window("2003-2007")
+
+
+#: command -> {flag: add_argument keywords}, the table both parsers read
+_ARGUMENTS = {name: dict(arguments) for name, (_help, _run, arguments) in _COMMANDS.items()}
+_ALL_FLAGS = sorted({flag for arguments in _ARGUMENTS.values() for flag in arguments})
+_ANY_VALUE = st.one_of(
+    st.sampled_from(sorted({
+        choice
+        for arguments in _ARGUMENTS.values()
+        for keywords in arguments.values()
+        for choice in keywords.get("choices", ())
+    })),
+    st.sampled_from(["", "-", "--", "-x", "-1", "-0.5", "0", "1", "2", "0.05", "1.5", "2.5",
+                     "nan", "inf", "1e-3", "x", "2003:2007", "a=b"]),
+    st.text(max_size=6),
+    st.text(max_size=5).map("-".__add__),
+)
+_VALID_TYPED = {
+    _alpha: st.floats(0.001, 0.999).map(repr),
+    _title_threshold: st.floats(0.001, 1.0).map(repr),
+    _top: st.integers(1, 99).map(str),
+}
+
+
+def _argparse_vars(argv):
+    """vars() of what argparse parses argv to, or None where it exits (help, usage error)."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(_build_parser(argv).parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _valid_value(keywords):
+    if "choices" in keywords:
+        return st.sampled_from(keywords["choices"])
+    if "type" in keywords:
+        return _VALID_TYPED[keywords["type"]]
+    return st.text(max_size=8).filter(lambda text: not text.startswith("-"))
+
+
+@st.composite
+def _well_formed_argv(draw):
+    """A command, then every required flag and some optional ones, each once
+    with a value it accepts, in any order."""
+    command = draw(st.sampled_from(sorted(_ARGUMENTS)))
+    pairs = [
+        (flag, draw(_valid_value(keywords)))
+        for flag, keywords in _ARGUMENTS[command].items()
+        if keywords.get("required") or draw(st.booleans())
+    ]
+    return [command, *(word for pair in draw(st.permutations(pairs)) for word in pair)]
+
+
+_DAMAGE = ("value", "drop", "repeat", "join", "abbreviate", "insert", "command")
+
+
+@st.composite
+def _near_miss_argv(draw):
+    """A well-formed argv with one to three words damaged: any value (bad,
+    empty or dash-led) in any place, a dropped word, a repeated flag,
+    --flag=value, a prefix, an unknown, help or stray word, another command."""
+    argv = draw(_well_formed_argv())
+    for damage in draw(st.lists(st.sampled_from(_DAMAGE), min_size=1, max_size=3)):
+        at = draw(st.integers(1, max(1, len(argv) - 1)))
+        if damage == "value" and at < len(argv):
+            argv[at] = draw(_ANY_VALUE)
+        elif damage == "drop" and at < len(argv):
+            del argv[at]
+        elif damage == "repeat":
+            flag = draw(st.sampled_from(sorted(_ARGUMENTS.get(argv[0], _ALL_FLAGS))))
+            argv[at:at] = [flag, draw(_ANY_VALUE)]
+        elif damage == "join" and at < len(argv) - 1:
+            argv[at : at + 2] = [f"{argv[at]}={argv[at + 1]}"]
+        elif damage == "abbreviate" and at < len(argv):
+            argv[at] = argv[at][: draw(st.integers(1, 9))]
+        elif damage == "insert":
+            extra = st.sampled_from([*_ALL_FLAGS, "--bogus", "-h", "--help", "--"])
+            argv.insert(at, draw(extra | _ANY_VALUE))
+        elif damage == "command":
+            argv[0] = draw(st.sampled_from([*_ARGUMENTS, "frob", "classif", "-h", "--help"]))
+    return argv
+
+
+@settings(max_examples=500, deadline=None)
+@given(argv=_near_miss_argv())
+def test_argv_reader_agrees_with_argparse_wherever_it_reads(argv):
+    """``_read_argv`` answers only for argv argparse would parse, and then
+    with argparse's namespace; for the rest argparse runs and speaks."""
+    namespace = _read_argv(argv)
+    if namespace is not None:
+        assert vars(namespace) == _argparse_vars(argv)
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_well_formed_argv())
+def test_argv_reader_reads_every_well_formed_argv(argv):
+    namespace = _read_argv(argv)
+    assert namespace is not None
+    assert vars(namespace) == _argparse_vars(argv)
+
+
+@pytest.mark.parametrize("value", ["-x", "--", "-", "-1", "-a b"])
+def test_a_dash_led_value_is_left_to_argparse(value):
+    """argparse refuses some of these ("-x") and takes others ("-1") as the
+    value; the reader reads none of them, so argparse decides each."""
+    argv = ["factor", "--corpus", "c.json", "--area", "ciencias", "--out", value]
+    assert _read_argv(argv) is None
+
+
+def test_every_benchmark_command_skips_argparse():
+    workloads = bench_module("workloads")
+    commands = [
+        *workloads.analysis_commands("in/corpus.json", "out"),
+        workloads.ingest_command("in", "out", alias=False),
+        workloads.ingest_command("in", "out", alias=True),
+    ]
+    for label, argv in commands:
+        namespace = _read_argv(argv)
+        assert namespace is not None, label
+        assert vars(namespace) == _argparse_vars(argv), label
 
 
 def test_inputs_are_never_mutated(tmp_path):

@@ -47,16 +47,17 @@ print(json.dumps(loaded))
 """
 
 
-def _fresh_python(code, *args) -> str:
-    """Run code in a new interpreter that imports the package from src/; its stdout."""
+def _fresh_python(code, *args, flags=(), stream="stdout") -> str:
+    """Run code in a new interpreter that imports the package from src/; its stdout
+    (or stderr)."""
     run = subprocess.run(
-        [sys.executable, "-c", code, *args],
+        [sys.executable, *flags, "-c", code, *args],
         env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
         capture_output=True,
         text=True,
     )
     assert run.returncode == 0, run.stderr
-    return run.stdout
+    return getattr(run, stream)
 
 
 def _modules_after_each(argvs):
@@ -91,21 +92,20 @@ import json, sys
 before = set(sys.modules)  # site may have loaded some modules already
 from citemetric.cli import main
 
+watched = set(json.loads(sys.argv[2]))
 added = []
 for argv in json.loads(sys.argv[1]):
     if argv[0] in ("factor", "regress"):
         import numpy  # numpy loads inspect itself
         before |= set(sys.modules)
     assert main(argv) == 0, argv
-    added.append(sorted({"dataclasses", "inspect"} & (set(sys.modules) - before)))
+    added.append(sorted(watched & (set(sys.modules) - before)))
 print(json.dumps(added))
 """
 
 
-def test_no_command_loads_dataclasses_or_inspect(tmp_path):
-    """``dataclasses``, which loads ``inspect``, ``ast``, ``dis`` and
-    ``tokenize``, cost a command more start-up than anything else the
-    package imported."""
+def _stdlib_added_by_each_command(tmp_path, watched):
+    """Which of the watched modules each of the seven commands adds, in one fresh interpreter."""
     registry, records = write_fixture_tree(tmp_path)
     corpus = ["--corpus", BUNDLED_CORPUS, "--area", "ciencias", "--out", str(tmp_path / "out")]
     commands = [
@@ -117,8 +117,30 @@ def test_no_command_loads_dataclasses_or_inspect(tmp_path):
         ["factor", *corpus],
         ["regress", *corpus],
     ]
-    added = json.loads(_fresh_python(_PROBE_STDLIB, json.dumps(commands)))
-    assert added == [[]] * len(commands)
+    return json.loads(_fresh_python(_PROBE_STDLIB, json.dumps(commands), json.dumps(watched)))
+
+
+def test_no_command_loads_dataclasses_or_inspect(tmp_path):
+    """``dataclasses``, which loads ``inspect``, ``ast``, ``dis`` and
+    ``tokenize``, cost a command more start-up than anything else the
+    package imported."""
+    assert _stdlib_added_by_each_command(tmp_path, ["dataclasses", "inspect"]) == [[]] * 7
+
+
+def test_no_well_formed_command_loads_argparse(tmp_path):
+    """argparse, and the ``gettext`` and ``locale`` it loads for its first
+    translated string, cost a command more start-up than the package's own
+    modules; it runs only for help and usage errors."""
+    watched = ["argparse", "gettext", "locale"]
+    assert _stdlib_added_by_each_command(tmp_path, watched) == [[]] * 7
+
+
+def test_importtime_logs_the_package_modules():
+    """``-X importtime`` logs only imports made by an import statement's own
+    path, so a submodule the package ``__getattr__`` loads must go through
+    ``__import__`` to be seen (``importlib.import_module`` is not logged)."""
+    stderr = _fresh_python("import citemetric.cli", flags=["-X", "importtime"], stream="stderr")
+    assert any(line.endswith(" citemetric.ingest") for line in stderr.splitlines()), stderr
 
 
 def test_every_exported_name_resolves_to_its_module():

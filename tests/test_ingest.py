@@ -122,6 +122,31 @@ def test_parse_citation_export_rejects_bad_cites():
     assert info.value.column == "cites"
 
 
+def _parse_one_row(**cells):
+    """Parse a one-row registry (given air_ibnp) or export (cites, year) holding cells."""
+    if "air_ibnp" in cells:
+        return parse_registry(REGISTRY_HEADER + f"\nj1,Revista,Ciencias,B,{cells['air_ibnp']},0,0,0,0,1\n")
+    cells = {"cites": "3", "year": "2005", **cells}
+    return parse_citation_export(EXPORT_HEADER + f"\n{cells['cites']},,Nota,{cells['year']},,,\n", "j1")
+
+
+@pytest.mark.parametrize("cell", ["1_0", "2_005", "２００６", "٣", "+-1", "1 0", "0x10", "1.0"])
+@pytest.mark.parametrize("column", ["cites", "year", "air_ibnp"])
+def test_integer_cells_take_only_a_sign_and_ascii_digits(column, cell):
+    """int() alone reads "1_0" as 10 and full-width digits as their number,
+    which would give a silently different table."""
+    with pytest.raises(BadCell) as info:
+        _parse_one_row(**{column: cell})
+    assert (info.value.line, info.value.column) == (2, column)
+    assert str(info.value).endswith(f"not an integer: {cell!r}")
+
+
+def test_integer_cells_keep_surrounding_space_a_sign_and_leading_zeros():
+    records, _ = _parse_one_row(cites=" +07 ", year=" 2005 ")
+    assert (records[0].cites, records[0].year) == (7, 2005)
+    assert _parse_one_row(air_ibnp="0012")[0].air_ibnp == 12
+
+
 def test_parse_citation_export_accepts_crlf_and_quoting():
     content = EXPORT_HEADER + '\r\n3,,"Clima, suelo y fauna",2004,,,\r\n'
     records, _ = parse_citation_export(content, "j1")
