@@ -24,6 +24,7 @@ from the same table and writes every help, usage and error message.
 from __future__ import annotations
 
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -33,16 +34,25 @@ from typing import Optional, Sequence, Tuple
 from . import ingest
 from .corpus import Area, filter_by_area
 from .errors import CitemetricError, DomainError
-from .ingest import DedupConfig
+from .ingest import _INTEGER, DedupConfig
 
 _AREAS = {"ciencias": Area.CIENCIAS, "sociales": Area.CIENCIAS_SOCIALES}
 _MEAN_MODES = ("pooled", "ratios")
+_REAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+
+
+def _ascii_number(text: str, kind=int):
+    """``kind(text)`` for a number written in ASCII; int() and float() alone
+    also read underscores, non-ASCII digits and surrounding whitespace."""
+    if not (_INTEGER if kind is int else _REAL).fullmatch(text):
+        raise ValueError(text)
+    return kind(text)
 
 
 def _parse_window(text: str) -> Tuple[int, int]:
     try:
         start, end = text.split(":")
-        window = (int(start), int(end))
+        window = (_ascii_number(start), _ascii_number(end))
     except ValueError:
         raise DomainError(f"window must look like 2003:2007, got {text!r}") from None
     if window[0] > window[1]:
@@ -59,7 +69,7 @@ def _type_error(message: str) -> Exception:
 
 def _number(text: str, kind=float):
     try:
-        return kind(text)
+        return _ascii_number(text, kind)
     except ValueError:
         raise _type_error(f"not a number: {text!r}") from None
 
@@ -306,12 +316,8 @@ def _read_argv(argv: Sequence[str]) -> Optional[SimpleNamespace]:
     return SimpleNamespace(**values)
 
 
-def _build_parser(argv: Sequence[str]):
-    """Every command with its help, and the arguments of the one argv names.
-
-    One run parses one command, so only its subparser gets arguments; adding
-    an argument is most of what building a parser costs.
-    """
+def _build_parser():
+    """Every command with its help and its arguments."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -321,9 +327,8 @@ def _build_parser(argv: Sequence[str]):
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, _run, arguments) in _COMMANDS.items():
         command = sub.add_parser(name, help=help_text)
-        if argv and argv[0] == name:
-            for flag, keywords in arguments:
-                command.add_argument(flag, **keywords)
+        for flag, keywords in arguments:
+            command.add_argument(flag, **keywords)
     return parser
 
 
@@ -332,7 +337,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         argv = sys.argv[1:]
     args = _read_argv(argv)
     if args is None:
-        args = _build_parser(argv).parse_args(argv)
+        args = _build_parser().parse_args(argv)
     _help, run, _arguments = _COMMANDS[args.command]
     try:
         run(args)

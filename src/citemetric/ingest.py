@@ -204,10 +204,14 @@ def parse_citation_export(
 
 
 def parse_alias_file(content) -> dict[str, str]:
-    """Parse the title-alias CSV; both sides are stored normalized."""
+    """Parse the title-alias CSV; both sides are stored normalized. A row
+    whose source normalizes like an earlier row's but names another target
+    raises :class:`BadCell`."""
     aliases: dict[str, str] = {}
-    for _, (source, target) in _read_rows(content, ALIAS_HEADER):
-        aliases[normalize_title(source)] = normalize_title(target)
+    for line, (source, target) in _read_rows(content, ALIAS_HEADER):
+        source, target = normalize_title(source), normalize_title(target)
+        if aliases.setdefault(source, target) != target:
+            raise BadCell(line, "to_title", f"{source!r} already aliases {aliases[source]!r}")
     return aliases
 
 

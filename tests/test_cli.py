@@ -209,8 +209,8 @@ def _help(argv, capsys) -> str:
 
 
 def test_help_names_every_command_and_each_command_its_own_options(capsys):
-    """The parser adds arguments only to the command it runs; every help
-    text still shows what it did when all seven were built."""
+    """The top-level help lists each command, and each command's help its
+    own options and no other command's."""
     top = _help(["--help"], capsys)
     for command, help_text in COMMAND_HELP.items():
         assert re.search(rf"^ +{command} +{re.escape(help_text)}$", top, re.MULTILINE), command
@@ -263,9 +263,12 @@ def test_bad_window_is_a_data_error(tmp_path, capsys):
 def test_alpha_and_top_out_of_range_exit_with_usage_error(tmp_path, capsys):
     corpus = ["--corpus", str(BUNDLED_CORPUS), "--area", "ciencias"]
     correlate = ["correlate", *corpus, "--vars", "h,pi_ld"]
-    cases = [(correlate, "--alpha", v) for v in ("1.5", "0", "1", "-0.1", "nan", "inf", "x")]
+    # float() and int() alone would read the underscored, padded and non-ASCII forms
+    alphas = ("1.5", "0", "1", "-0.1", "nan", "inf", "x", "0.0_5", " 0.05 ", "٠.٠٥", "０.05")
+    cases = [(correlate, "--alpha", v) for v in alphas]
     cases += [(["compare", *corpus, "--by", "category"], "--alpha", v) for v in ("1.5", "2")]
-    cases += [(["classify", *corpus], "--top", v) for v in ("-1", "0", "2.5", "x")]
+    tops = ("-1", "0", "2.5", "x", "1_0", " 2", "２", "١")
+    cases += [(["classify", *corpus], "--top", v) for v in tops]
     out = tmp_path / "out"
     for command, flag, value in cases:
         with pytest.raises(SystemExit) as info:
@@ -319,7 +322,7 @@ def test_outputs_get_the_mode_a_plain_open_would_give(tmp_path, umask, mode):
     assert out.stat().st_mode & 0o777 == mode
 
 
-@pytest.mark.parametrize("threshold", ["1.5", "0", "-0.1", "nan", "inf", "high"])
+@pytest.mark.parametrize("threshold", ["1.5", "0", "-0.1", "nan", "inf", "high", "0.9_2", "٠.٩"])
 def test_bad_title_threshold_exits_with_usage_error(tmp_path, threshold, capsys):
     out = tmp_path / "corpus.json"
     with pytest.raises(SystemExit) as info:
@@ -359,6 +362,11 @@ def _nul_in_alias(registry, records, alias):
     alias.write_bytes(text.encode("utf-8"))
 
 
+def _alias_rows_that_disagree(registry, records, alias):
+    rows = "from_title,to_title\nTitulo uno,Title one\ntitulo UNO,Title two\n"
+    alias.write_text(rows, encoding="utf-8")
+
+
 def _export_cell_over_the_csv_field_limit(registry, records, alias):
     export = sorted(records.glob("*.csv"))[0]
     lines = export.read_text(encoding="utf-8").split("\n")
@@ -373,6 +381,7 @@ def _export_cell_over_the_csv_field_limit(registry, records, alias):
         (_nul_in_export_authors, "line 4, column '*': contains a NUL byte"),
         (_nul_in_alias, "line 4, column '*': contains a NUL byte"),
         (_export_cell_over_the_csv_field_limit, "line 4, column '*': field larger than"),
+        (_alias_rows_that_disagree, "line 3, column 'to_title': 'titulo uno' already aliases"),
     ],
 )
 def test_unreadable_csv_input_is_a_one_line_data_error(tmp_path, capsys, damage, says):
@@ -663,8 +672,10 @@ def test_only_factor_and_regress_load_numpy(tmp_path):
 
 def test_parse_window():
     assert _parse_window("2003:2007") == (2003, 2007)
-    with pytest.raises(DomainError):
-        _parse_window("2003-2007")
+    # int() alone would read each of the last four
+    for text in ("2003-2007", "2_003:2007", "2003:２００７", " 2003:2007", "٢٠٠٣:2007"):
+        with pytest.raises(DomainError, match="window must look like 2003:2007"):
+            _parse_window(text)
 
 
 #: command -> {flag: add_argument keywords}, the table both parsers read
@@ -693,7 +704,7 @@ def _argparse_vars(argv):
     """vars() of what argparse parses argv to, or None where it exits (help, usage error)."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            return vars(_build_parser(argv).parse_args(argv))
+            return vars(_build_parser().parse_args(argv))
         except SystemExit:
             return None
 

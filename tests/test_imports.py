@@ -8,30 +8,14 @@ another test imported is in ``sys.modules``.
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
-import pytest
-
-import citemetric
 from fixture_corpus import write_fixture_tree
 
 REPO = pathlib.Path(__file__).parent.parent
 BUNDLED_CORPUS = str(REPO / "fixtures" / "ciencias_table7.json")
-
-#: the package's public names; each must stay readable as ``citemetric.<name>``
-EAGER_NAMES = {
-    "Area", "ArticleRecord", "ArticleStatus", "IbnpCategory", "JournalCorpus",
-    "JournalRecord", "Library", "filter_by_area", "validate_corpus",
-    "GroupSummary", "IndicatorSet", "area_mean_citation", "compute_indicator_set",
-    "corpus_indicator_sets", "cpn", "h_index", "log10_shifted", "pi_ibnp", "pi_ld",
-    "summarize_group",
-    "DedupConfig", "DedupDecision", "IngestReport", "build_corpus", "corpus_from_json",
-    "corpus_to_json", "deduplicate", "normalize_title", "parse_citation_export",
-    "parse_registry", "title_similarity",
-    "ClassificationRow", "FIXED_BOUNDS", "assign_quartiles", "emit_report",
-    "empirical_bounds", "rank_journals",
-}
 
 _PROBE = """
 import json, sys
@@ -48,10 +32,11 @@ print(json.dumps(loaded))
 
 
 def _fresh_python(code, *args, flags=(), stream="stdout") -> str:
-    """Run code in a new interpreter that imports the package from src/; its stdout
-    (or stderr)."""
+    """Run code from the repository root in a new interpreter that imports the
+    package from src/; its stdout (or stderr)."""
     run = subprocess.run(
         [sys.executable, *flags, "-c", code, *args],
+        cwd=REPO,
         env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
         capture_output=True,
         text=True,
@@ -137,25 +122,15 @@ def test_no_well_formed_command_loads_argparse(tmp_path):
 
 def test_importtime_logs_the_package_modules():
     """``-X importtime`` logs only imports made by an import statement's own
-    path, so a submodule the package ``__getattr__`` loads must go through
-    ``__import__`` to be seen (``importlib.import_module`` is not logged)."""
+    path; cli's ``from . import ingest`` is one, so ingest's cost shows as its
+    own line and not as ``citemetric.cli`` self time."""
     stderr = _fresh_python("import citemetric.cli", flags=["-X", "importtime"], stream="stderr")
     assert any(line.endswith(" citemetric.ingest") for line in stderr.splitlines()), stderr
 
 
-def test_every_exported_name_resolves_to_its_module():
-    assert set(citemetric.__all__) == EAGER_NAMES
-    assert len(citemetric.__all__) == len(EAGER_NAMES)
-    for name in citemetric.__all__:
-        value = getattr(citemetric, name)
-        assert value is getattr(sys.modules[f"citemetric.{citemetric._MODULE_OF[name]}"], name)
-    assert EAGER_NAMES <= set(dir(citemetric))
-    namespace = {}
-    exec("from citemetric import *", namespace)
-    assert EAGER_NAMES <= set(namespace)
-
-
-def test_submodules_are_attributes_and_unknown_names_are_not():
-    _fresh_python("import citemetric, sys; assert citemetric.ingest is sys.modules['citemetric.ingest']")
-    with pytest.raises(AttributeError, match="not_a_name"):
-        citemetric.not_a_name
+def test_readme_library_example_runs():
+    """The README's first ``python`` block, so the import paths it documents
+    stay the ones the package has."""
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"^```python\n(.*?)^```", readme, re.MULTILINE | re.DOTALL)[1]
+    _fresh_python(example)

@@ -15,9 +15,11 @@ from citemetric.corpus import (
 from citemetric.errors import BadCell, DomainError, DuplicateId, MalformedHeader
 from citemetric.ingest import (
     REGISTRY_HEADER,
+    DedupConfig,
     build_corpus,
     corpus_from_json,
     corpus_to_json,
+    deduplicate,
     parse_alias_file,
     parse_citation_export,
     parse_registry,
@@ -156,6 +158,26 @@ def test_parse_citation_export_accepts_crlf_and_quoting():
 def test_parse_alias_file_normalizes_both_sides():
     aliases = parse_alias_file("from_title,to_title\nClimate Effect,Efecto del Clima.\n")
     assert aliases == {"climate effect": "efecto del clima"}
+
+
+def test_alias_rows_that_disagree_are_refused():
+    """Two rows whose sources normalize alike must name the same target; the
+    later one is reported, not silently kept."""
+    records, lines = parse_citation_export(
+        EXPORT_HEADER + "\n3,,Titulo uno,2005,,,\n3,,Title one,2005,,,\n", "j1"
+    )
+
+    def statuses(alias_rows):
+        aliases = parse_alias_file("from_title,to_title\n" + alias_rows)
+        cleaned, _ = deduplicate(records, DedupConfig(alias_map=aliases), lines)
+        return [r.status for r in cleaned]
+
+    confirmed = [ArticleStatus.DROPPED_DUPLICATE, ArticleStatus.KEPT]
+    assert statuses("Titulo uno,Title one\n") == confirmed
+    assert statuses("Titulo uno,Title one\nTÍTULO uno,Title one.\n") == confirmed
+    assert statuses("Title one,Titulo uno\n") == confirmed[::-1]
+    with pytest.raises(BadCell, match="line 3, column 'to_title': 'titulo uno' already aliases"):
+        statuses("Titulo uno,Title one\ntitulo UNO,Title two\n")
 
 
 def test_bad_cell_after_a_multi_line_cell_names_its_physical_line():
