@@ -303,27 +303,15 @@ def comparison_to_json(table: ComparisonTable) -> str:
 
 
 def correlation_to_json(matrix: CorrelationMatrix) -> str:
-    return _dumps(
-        {
-            "variables": list(matrix.variables),
-            "r": [list(row) for row in matrix.r],
-            "significant": [list(row) for row in matrix.significant],
-            "n": [list(row) for row in matrix.n],
-            "alpha": matrix.alpha,
-        }
-    )
+    return _dumps(matrix._asdict())
 
 
 def factor_to_json(result: FactorResult) -> str:
     return _dumps(
         {
-            "variables": list(FACTOR_VARIABLES),
-            "eigenvalues": list(result.eigenvalues),
-            "retained": result.retained,
-            "loadings": list(result.loadings),
-            "communalities": list(result.communalities),
-            "variance_explained": result.variance_explained,
-            "contributing": list(contributing_variables(result)),
+            "variables": FACTOR_VARIABLES,
+            **result._asdict(),
+            "contributing": contributing_variables(result),
         }
     )
 

@@ -84,7 +84,7 @@ def assign_quartiles(
     return out
 
 
-REPORT_COLUMNS = ("rank", "title", "h", "category", "cpn", "quartile")
+REPORT_COLUMNS = ClassificationRow._fields
 
 
 def _row_cells(row: ClassificationRow) -> list[str]:
@@ -102,10 +102,10 @@ def emit_report(
     rows: Sequence[ClassificationRow],
     fmt: str,
     top_quartiles: Optional[int] = None,
-) -> bytes:
+) -> str:
     """Render the classification as csv, json, or a pipe table (md).
 
-    Output is deterministic bytes; top_quartiles keeps only the leading
+    Output is deterministic text; top_quartiles keeps only the leading
     quartiles. Normalized citation values carry two decimals everywhere.
     """
     selected = [
@@ -115,20 +115,10 @@ def emit_report(
     ]
     if fmt == "csv":
         lines = [csv_record(REPORT_COLUMNS)] + [csv_record(_row_cells(row)) for row in selected]
-        return "".join(lines).encode("utf-8")
+        return "".join(lines)
     if fmt == "json":
-        doc = [
-            {
-                "rank": row.rank,
-                "title": row.title,
-                "h": row.h,
-                "category": row.category.value,
-                "cpn": round(row.cpn, 2),
-                "quartile": row.quartile,
-            }
-            for row in selected
-        ]
-        return (json.dumps(doc, ensure_ascii=False, indent=2) + "\n").encode("utf-8")
+        doc = [{**row._asdict(), "cpn": round(row.cpn, 2)} for row in selected]
+        return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
     if fmt == "md":
         lines = [
             "| " + " | ".join(REPORT_COLUMNS) + " |",
@@ -138,5 +128,5 @@ def emit_report(
             # an escaped pipe stays in its cell; a line break would end the row
             cells = (re.sub(r"\r\n?|\n", " ", c.replace("|", r"\|")) for c in _row_cells(row))
             lines.append("| " + " | ".join(cells) + " |")
-        return ("\n".join(lines) + "\n").encode("utf-8")
+        return "\n".join(lines) + "\n"
     raise DomainError(f"unknown report format {fmt!r}; use 'csv', 'json' or 'md'")

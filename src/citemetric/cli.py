@@ -2,8 +2,8 @@
 regress, and classify, composed through the corpus JSON file.
 
 Exit codes: 0 success, 1 data error (diagnostic on stderr), 2 usage error.
-Outputs are written atomically (temp file plus rename), so a failing run
-never leaves a partial file behind.
+Each command returns its output as text, and ``main`` writes it atomically
+(temp file plus rename), so a failing run never leaves a partial file behind.
 
 Each command imports only the modules it runs: ``indicators`` is loaded by
 the commands that read a corpus, ``classify`` by ``classify``, and
@@ -116,26 +116,21 @@ def _write_atomic(path: str, data: bytes) -> None:
         raise
 
 
-def _read_bytes(path: str) -> bytes:
-    with open(path, "rb") as handle:
-        return handle.read()
-
-
 def _area_pairs(args, mean_mode: str = "ratios"):
     """Load --corpus, keep --area's journals if one is given, and compute indicators."""
     from . import indicators
 
     # decoded here, so the file's bytes are freed before the parse starts
-    corpus = ingest.corpus_from_json(_read_bytes(args.corpus).decode("utf-8-sig"))
+    corpus = ingest.corpus_from_json(Path(args.corpus).read_bytes().decode("utf-8-sig"))
     if args.area:
         corpus = filter_by_area(corpus, _AREAS[args.area])
     return indicators.corpus_indicator_sets(corpus, mean_mode=mean_mode)
 
 
-def _run_ingest(args) -> None:
+def _run_ingest(args) -> str:
     window = _parse_window(args.window)
-    journals = ingest.parse_registry(_read_bytes(args.registry))
-    alias_map = ingest.parse_alias_file(_read_bytes(args.alias)) if args.alias else {}
+    journals = ingest.parse_registry(Path(args.registry).read_bytes())
+    alias_map = ingest.parse_alias_file(Path(args.alias).read_bytes()) if args.alias else {}
     dedup_config = DedupConfig(
         window=window, title_threshold=args.title_threshold, alias_map=alias_map
     )
@@ -146,25 +141,23 @@ def _run_ingest(args) -> None:
     records_by_journal = {}
     for path in sorted(records_dir.glob("*.csv")):
         journal_id = path.stem
-        records, lines = ingest.parse_citation_export(_read_bytes(str(path)), journal_id)
+        records, lines = ingest.parse_citation_export(path.read_bytes(), journal_id)
         cleaned, _report = ingest.deduplicate(records, dedup_config, lines)
         records_by_journal[journal_id] = cleaned
-    corpus = ingest.build_corpus(journals, records_by_journal, window)
-    _write_atomic(args.out, ingest.corpus_to_json(corpus).encode("utf-8"))
+    return ingest.corpus_to_json(ingest.build_corpus(journals, records_by_journal, window))
 
 
-def _run_indicators(args) -> None:
+def _run_indicators(args) -> str:
     from . import indicators
 
-    pairs = _area_pairs(args, args.area_mean)
-    _write_atomic(args.out, indicators.indicators_csv(pairs).encode("utf-8"))
+    return indicators.indicators_csv(_area_pairs(args, args.area_mean))
 
 
 def _variables(text: str) -> list:
     return [v for v in text.split(",") if v]
 
 
-def _run_compare(args) -> None:
+def _run_compare(args) -> str:
     from . import analysis
 
     variables = analysis.DEFAULT_COMPARE_VARIABLES if args.vars is None else _variables(args.vars)
@@ -176,35 +169,30 @@ def _run_compare(args) -> None:
         method=args.method,
         alpha=args.alpha,
     )
-    _write_atomic(args.out, analysis.comparison_to_json(table).encode("utf-8"))
+    return analysis.comparison_to_json(table)
 
 
-def _run_correlate(args) -> None:
+def _run_correlate(args) -> str:
     from . import analysis
 
-    matrix = analysis.correlation_matrix(
-        _area_pairs(args),
-        variables=_variables(args.vars),
-        alpha=args.alpha,
-    )
-    _write_atomic(args.out, analysis.correlation_to_json(matrix).encode("utf-8"))
+    matrix = analysis.correlation_matrix(_area_pairs(args), _variables(args.vars), args.alpha)
+    return analysis.correlation_to_json(matrix)
 
 
-def _run_factor(args) -> None:
+def _run_factor(args) -> str:
     from . import analysis
 
-    result = analysis.citation_factor_analysis(_area_pairs(args))
-    _write_atomic(args.out, analysis.factor_to_json(result).encode("utf-8"))
+    return analysis.factor_to_json(analysis.citation_factor_analysis(_area_pairs(args)))
 
 
-def _run_regress(args) -> None:
+def _run_regress(args) -> str:
     from . import analysis
 
     result = analysis.citation_regression(_area_pairs(args), response=args.response)
-    _write_atomic(args.out, analysis.regression_to_json(result, args.response).encode("utf-8"))
+    return analysis.regression_to_json(result, args.response)
 
 
-def _run_classify(args) -> None:
+def _run_classify(args) -> str:
     from . import classify
 
     rows = classify.rank_journals(_area_pairs(args, args.area_mean))
@@ -213,7 +201,7 @@ def _run_classify(args) -> None:
     else:
         bounds = classify.empirical_bounds(rows)
     rows = classify.assign_quartiles(rows, bounds)
-    _write_atomic(args.out, classify.emit_report(rows, args.format, top_quartiles=args.top))
+    return classify.emit_report(rows, args.format, top_quartiles=args.top)
 
 
 _CORPUS = ("--corpus", {"required": True})
@@ -340,7 +328,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = _build_parser().parse_args(argv)
     _help, run, _arguments = _COMMANDS[args.command]
     try:
-        run(args)
+        _write_atomic(args.out, run(args).encode("utf-8"))
     except (CitemetricError, ValueError, OSError) as error:
         print(f"citemetric {args.command}: {error}", file=sys.stderr)
         return 1

@@ -320,7 +320,7 @@ def deduplicate(
     A decision names the export lines of its rows, ``lines[i]`` for
     ``records[i]``, as :func:`parse_citation_export` returns them; without
     ``lines``, record ``i`` counts as line ``i + 2`` (data starts under the
-    header).
+    header). ``alias_map`` keys that normalize alike must name one title.
     """
     # also rejects NaN, which would otherwise reach the edit-budget derivation
     if not 0.0 < config.title_threshold <= 1.0:
@@ -328,6 +328,12 @@ def deduplicate(
     ids = {r.journal_id for r in records}
     if len(ids) > 1:
         raise DomainError(f"records span journals {sorted(ids)}")
+    alias: dict[str, str] = {}
+    for key, target in config.alias_map.items():
+        source, target = normalize_title(key), normalize_title(target)
+        if alias.setdefault(source, target) != target:
+            first = next(k for k in config.alias_map if normalize_title(k) == source)
+            raise DomainError(f"alias keys {first!r} and {key!r} normalize alike, targets differ")
 
     start, end = config.window
     statuses: dict[int, ArticleStatus] = {}
@@ -420,7 +426,6 @@ def deduplicate(
     # Only rows of one (year, cites) bucket can pair, so each row is paired
     # with the later rows of its bucket, in the order a scan of all pairs
     # would meet them.
-    alias = {normalize_title(k): normalize_title(v) for k, v in config.alias_map.items()}
     kept = [i for i in survivors if statuses[i] is ArticleStatus.KEPT]
     buckets: dict[tuple, list[int]] = {}
     later: dict[int, int] = {}  # row -> position of the next row in its bucket
@@ -536,20 +541,8 @@ def corpus_to_json(corpus: JournalCorpus) -> str:
             }
             for j in corpus.journals
         ],
-        "articles": [
-            {
-                "journal_id": a.journal_id,
-                "title": a.title,
-                "year": a.year,
-                "cites": a.cites,
-                "authors": a.authors,
-                "publication": a.publication,
-                "publisher": a.publisher,
-                "url": a.url,
-                "status": a.status.value,
-            }
-            for a in corpus.articles
-        ],
+        # ArticleStatus is a str enum, so json writes its value
+        "articles": [a._asdict() for a in corpus.articles],
         "ibnp_totals": {j.journal_id: j.air_ibnp for j in corpus.journals},
     }
     return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"

@@ -77,7 +77,7 @@ def test_fixed_mode_thresholds():
 
 def test_fixed_mode_h_three_included_in_top_two():
     rows = assign_quartiles([_row(1, 3, 1.0)], FIXED_BOUNDS)
-    report = emit_report(rows, "csv", top_quartiles=2).decode()
+    report = emit_report(rows, "csv", top_quartiles=2)
     assert "REVISTA" in report
 
 
@@ -126,8 +126,8 @@ def test_bounds_must_not_increase():
 
 
 def test_empty_rows_give_header_only_output():
-    assert emit_report([], "csv") == b"rank,title,h,category,cpn,quartile\n"
-    md = emit_report([], "md").decode()
+    assert emit_report([], "csv") == "rank,title,h,category,cpn,quartile\n"
+    md = emit_report([], "md")
     assert md.splitlines() == [
         "| rank | title | h | category | cpn | quartile |",
         "| --- | --- | --- | --- | --- | --- |",
@@ -137,12 +137,12 @@ def test_empty_rows_give_header_only_output():
 
 def test_markdown_report_matches_golden_file():
     rows = assign_quartiles(_fixture_rows(), FIXED_BOUNDS)
-    assert emit_report(rows, "md", top_quartiles=2) == GOLDEN.read_bytes()
+    assert emit_report(rows, "md", top_quartiles=2) == GOLDEN.read_bytes().decode("utf-8")
 
 
 def test_markdown_first_row_layout():
     rows = assign_quartiles(_fixture_rows(), FIXED_BOUNDS)
-    lines = emit_report(rows, "md", top_quartiles=2).decode().splitlines()
+    lines = emit_report(rows, "md", top_quartiles=2).splitlines()
     assert lines[2] == "| 1 | COLOMBIA MÉDICA | 10 | A2 | 10.35 | 1 |"
     assert len(lines) == 2 + 27
 
@@ -153,7 +153,7 @@ def test_markdown_escapes_pipes_and_line_breaks_in_titles():
         [_row(rank, 5 - rank, 1.0, title=title) for rank, title in enumerate(titles, 1)],
         FIXED_BOUNDS,
     )
-    lines = emit_report(rows, "md").decode().split("\n")
+    lines = emit_report(rows, "md").split("\n")
     assert lines[2:] == [
         "| 1 | Revista A \\| B | 4 | B | 1.00 | 1 |",
         "| 2 | Uno Dos | 3 | B | 1.00 | 2 |",
@@ -163,7 +163,7 @@ def test_markdown_escapes_pipes_and_line_breaks_in_titles():
     ]
     # csv and json keep the raw title
     assert [row["title"] for row in json.loads(emit_report(rows, "json"))] == titles
-    csv_rows = csv.reader(io.StringIO(emit_report(rows, "csv").decode(), newline=""))
+    csv_rows = csv.reader(io.StringIO(emit_report(rows, "csv"), newline=""))
     assert list(csv_rows)[1][1] == "Revista A | B"
 
 
@@ -175,7 +175,7 @@ def test_report_emission_is_deterministic():
 
 def test_csv_and_json_round_two_decimals():
     rows = assign_quartiles([_row(1, 4, 3.98765)], FIXED_BOUNDS)
-    csv_text = emit_report(rows, "csv").decode()
+    csv_text = emit_report(rows, "csv")
     assert "3.99" in csv_text
     doc = json.loads(emit_report(rows, "json"))
     assert doc[0]["cpn"] == 3.99
@@ -195,7 +195,7 @@ def test_csv_report_round_trips_titles_with_line_breaks():
         [_row(rank, 6 - rank, 1.0, title=title) for rank, title in enumerate(titles, 1)],
         FIXED_BOUNDS,
     )
-    read = list(csv.reader(io.StringIO(emit_report(rows, "csv").decode(), newline="")))
+    read = list(csv.reader(io.StringIO(emit_report(rows, "csv"), newline="")))
     assert read[0] == ["rank", "title", "h", "category", "cpn", "quartile"]
     assert [row[1] for row in read[1:]] == titles
     assert {len(row) for row in read} == {6}

@@ -12,7 +12,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from citemetric import analysis
+from citemetric import analysis, ingest
 from citemetric.cli import (
     _COMMANDS,
     _alpha,
@@ -29,6 +29,7 @@ from fixture_corpus import bench_module, write_fixture_tree
 REPO = pathlib.Path(__file__).parent.parent
 BUNDLED_CORPUS = REPO / "fixtures" / "ciencias_table7.json"
 GOLDEN_MD = pathlib.Path(__file__).parent / "data" / "table7_top2.md"
+GOLDEN_JSON = GOLDEN_MD.with_suffix(".json")
 
 
 def _ingest(tmp_path, out_name="corpus.json"):
@@ -75,6 +76,36 @@ def test_classify_fixed_top_two_matches_golden(tmp_path):
     )
     assert code == 0
     assert out.read_bytes() == GOLDEN_MD.read_bytes()
+
+
+def test_classify_fixed_top_two_json_matches_golden(tmp_path):
+    out = tmp_path / "table.json"
+    argv = ["classify", "--corpus", str(BUNDLED_CORPUS), "--quartile-mode", "fixed", "--top", "2"]
+    assert main([*argv, "--format", "json", "--out", str(out)]) == 0
+    assert out.read_bytes() == GOLDEN_JSON.read_bytes()
+
+
+def test_record_documents_keep_their_key_order(tmp_path):
+    """These documents are written from their records' fields, so a renamed or
+    reordered field fails here instead of silently changing a file format."""
+    corpus = ingest.corpus_from_json(BUNDLED_CORPUS.read_bytes())
+    article = json.loads(ingest.corpus_to_json(corpus))["articles"][0]
+    fields = "journal_id title year cites authors publication publisher url status"
+    assert list(article) == fields.split()
+    documents = {}
+    for command, *flags in (
+        ("correlate", "--area", "ciencias", "--vars", "h,cr_ga_log10,pi_ld"),
+        ("factor", "--area", "ciencias"),
+        ("classify", "--format", "json"),
+    ):
+        out = tmp_path / f"{command}.json"
+        assert main([command, "--corpus", str(BUNDLED_CORPUS), *flags, "--out", str(out)]) == 0
+        documents[command] = json.loads(out.read_text(encoding="utf-8"))
+    assert list(documents["correlate"]) == "variables r significant n alpha".split()
+    assert list(documents["factor"]) == (
+        "variables eigenvalues retained loadings communalities variance_explained contributing"
+    ).split()
+    assert list(documents["classify"][0]) == "rank title h category cpn quartile".split()
 
 
 def test_indicators_command_writes_expected_header(tmp_path):
@@ -503,6 +534,18 @@ def _kept_row_dated_1900(doc):
     doc["articles"][3]["year"] = 1900
 
 
+def _flagged_row_dated_1990(doc):
+    doc["articles"][0].update(status="NeedsReview", year=1990)
+
+
+def _flagged_row_without_year(doc):
+    doc["articles"][0].update(status="NeedsReview", year=None)
+
+
+def _flagged_row_without_title(doc):
+    doc["articles"][0].update(status="NeedsReview", title="")
+
+
 def _negative_ibnp_total(doc):
     doc["ibnp_totals"]["sci001"] = -5
 
@@ -546,6 +589,9 @@ def _bare_article_document(doc):
         (_negative_cites, "is invalid: article row 3 (journal 'sci001'): negative cites"),
         (_article_of_no_journal, "article row 3 (journal 'sci999'): unknown journal_id 'sci999'"),
         (_kept_row_dated_1900, "article row 3 (journal 'sci001'): kept record with year outside"),
+        (_flagged_row_dated_1990, "row 0 (journal 'sci001'): flagged record with year outside"),
+        (_flagged_row_without_year, "row 0 (journal 'sci001'): flagged record with year outside"),
+        (_flagged_row_without_title, "row 0 (journal 'sci001'): flagged record with empty title"),
         (_negative_ibnp_total, "is invalid: journal 'sci001' has negative ibnp total"),
         (_object_authors, "articles: article 3: authors is dict, not str"),
         # the loader builds article records while it parses, so an article

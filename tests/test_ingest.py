@@ -180,6 +180,26 @@ def test_alias_rows_that_disagree_are_refused():
         statuses("Titulo uno,Title one\ntitulo UNO,Title two\n")
 
 
+def test_alias_map_keys_that_disagree_are_refused():
+    """A library caller's alias map obeys the alias file's rule, in either
+    key order: keys that normalize alike must name the same title."""
+    records, lines = parse_citation_export(
+        EXPORT_HEADER + "\n3,,Titulo uno,2005,,,\n3,,Title one,2005,,,\n", "j1"
+    )
+
+    def statuses(*alias_items):
+        cleaned, _ = deduplicate(records, DedupConfig(alias_map=dict(alias_items)), lines)
+        return [r.status for r in cleaned]
+
+    one, two = ("Titulo uno", "Title one"), ("titulo UNO", "Title two")
+    agreeing = ("TÍTULO uno", "title ONE.")
+    assert statuses(one, agreeing) == [ArticleStatus.DROPPED_DUPLICATE, ArticleStatus.KEPT]
+    for first, later in ((one, two), (two, one)):
+        message = f"alias keys '{first[0]}' and '{later[0]}' normalize alike"
+        with pytest.raises(DomainError, match=message):
+            statuses(first, later)
+
+
 def test_bad_cell_after_a_multi_line_cell_names_its_physical_line():
     content = EXPORT_HEADER + '\n3,"Smith,\nJ",Efecto,2005,,,\nmany,,Suelos,2005,,,\n'
     with pytest.raises(BadCell) as info:
