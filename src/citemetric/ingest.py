@@ -221,8 +221,11 @@ _SPACES = re.compile(r"\s+")
 
 def normalize_title(title: str) -> str:
     """Lowercase, strip accents and punctuation, collapse whitespace."""
-    text = unicodedata.normalize("NFD", title.lower())
-    text = "".join(ch for ch in text if not unicodedata.combining(ch))
+    text = title.lower()
+    # ASCII text is its own NFD form and holds no combining mark
+    if not text.isascii():
+        text = unicodedata.normalize("NFD", text)
+        text = "".join(ch for ch in text if not unicodedata.combining(ch))
     text = _PUNCT.sub(" ", text)
     return _SPACES.sub(" ", text).strip()
 
@@ -552,12 +555,15 @@ def _scalar_fault(where: str, name: str, value, expected: str) -> TypeError:
     return TypeError(f"{where}: {name} is {type(value).__name__}, not {expected}")
 
 
-def _article(a, index) -> ArticleRecord:
+def _article(a, index, share) -> ArticleRecord:
     """Build one article record of a corpus JSON document, checking its fields.
 
     ``type(...) is int`` refuses ``bool``, which is an ``int`` subclass. The
     record is built by ``tuple.__new__``, skipping the keyword handling of
     ``ArticleRecord``'s own constructor, once per article of a large corpus.
+    ``share(value, value)`` returns the load's one object equal to a checked
+    ``journal_id`` or ``year``: every article of a journal holds its id, and
+    a year is one of the window's few values.
     """
     journal_id, year, cites = a["journal_id"], a["year"], a["cites"]
     title = a["title"]
@@ -582,19 +588,10 @@ def _article(a, index) -> ArticleRecord:
     if type(url) is not str:
         raise _scalar_fault(f"article {index}", "url", url, "str")
     status = _STATUS_BY_VALUE[a["status"]]
+    journal_id, year = share(journal_id, journal_id), share(year, year)
     return tuple.__new__(
         ArticleRecord, (journal_id, title, year, cites, authors, publication, publisher, url, status)
     )
-
-
-def _article_or_object(obj: dict):
-    """The corpus parser's object_hook: a well-formed article becomes its
-    record. Any other object (a journal, ibnp_totals, the document, a faulty
-    article) comes back unchanged, and the articles section reports faults."""
-    try:
-        return _article(obj, None)
-    except (KeyError, TypeError, ValueError):
-        return obj
 
 
 def corpus_from_json(content) -> JournalCorpus:
@@ -612,10 +609,25 @@ def corpus_from_json(content) -> JournalCorpus:
     ``content`` is the document's text or its UTF-8 bytes; given text, the
     caller can free the bytes before the parse. Each article becomes its
     record as soon as the parser has read it, so the parsed objects of a
-    large corpus never exist all at once.
+    large corpus never exist all at once: at its peak a load holds the text
+    plus one record per article. The records of a load share one object per
+    distinct ``journal_id`` and ``year`` value, through a table that is gone
+    when the call returns.
     """
+    # one object per distinct journal id and year, for this load only
+    share = {}.setdefault
+
+    def article_or_object(obj: dict):
+        # a well-formed article becomes its record; any other object (a
+        # journal, ibnp_totals, the document, a faulty article) comes back
+        # unchanged, and the articles section reports faults
+        try:
+            return _article(obj, None, share)
+        except (KeyError, TypeError, ValueError):
+            return obj
+
     try:
-        doc = json.loads(_decode(content), object_hook=_article_or_object)
+        doc = json.loads(_decode(content), object_hook=article_or_object)
     except RecursionError:
         raise MalformedCorpus("corpus JSON is nested too deeply") from None
     with _section("journals"):
@@ -639,7 +651,7 @@ def corpus_from_json(content) -> JournalCorpus:
         # again raises its fault, named by its index
         articles = tuple(
             [
-                a if type(a) is ArticleRecord else _article(a, index)
+                a if type(a) is ArticleRecord else _article(a, index, share)
                 for index, a in enumerate(doc["articles"])
             ]
         )

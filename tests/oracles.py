@@ -3,13 +3,16 @@
 These deliberately avoid the code paths under test: counting instead of
 sorting for the h index, scipy plus numpy for rank correlation, exhaustive
 permutation for small-sample p values, and the original all-pairs record
-cleaning with a full Levenshtein for title deduplication.
+cleaning with a full Levenshtein and the original title normalization for
+title deduplication.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
+import unicodedata
 from typing import Sequence
 
 import numpy as np
@@ -22,8 +25,16 @@ from citemetric.ingest import (
     DedupDecision,
     DedupRule,
     IngestReport,
-    normalize_title,
 )
+
+
+def normalize_title_reference(title: str) -> str:
+    """Title normalization as first written: NFD, then every character's
+    combining class checked, then punctuation and whitespace."""
+    text = unicodedata.normalize("NFD", title.lower())
+    text = "".join(ch for ch in text if not unicodedata.combining(ch))
+    text = re.sub(r"[^0-9a-z\s]+", " ", text)
+    return re.sub(r"\s+", " ", text).strip()
 
 
 def brute_force_h(cites) -> int:
@@ -147,7 +158,7 @@ def deduplicate_reference(
             statuses[i] = ArticleStatus.KEPT
 
     survivors = [i for i in range(len(records)) if statuses[i] is ArticleStatus.KEPT]
-    normalized = {i: normalize_title(records[i].title) for i in survivors}
+    normalized = {i: normalize_title_reference(records[i].title) for i in survivors}
 
     # similar-title groups via union-find over pairs at or above the threshold
     parent = {i: i for i in survivors}
@@ -185,7 +196,10 @@ def deduplicate_reference(
         )
 
     # cross-language suspects: same (year, cites), no shared title words
-    alias = {normalize_title(k): normalize_title(v) for k, v in config.alias_map.items()}
+    alias = {
+        normalize_title_reference(k): normalize_title_reference(v)
+        for k, v in config.alias_map.items()
+    }
     kept = [i for i in survivors if statuses[i] is ArticleStatus.KEPT]
     for pos, i in enumerate(kept):
         if statuses[i] is not ArticleStatus.KEPT:

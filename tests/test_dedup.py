@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from citemetric.corpus import ArticleRecord, ArticleStatus
 from citemetric.errors import DomainError
@@ -18,7 +18,7 @@ from citemetric.ingest import (
     parse_citation_export,
     title_similarity,
 )
-from oracles import deduplicate_reference, levenshtein_reference
+from oracles import deduplicate_reference, levenshtein_reference, normalize_title_reference
 
 CONFIG = DedupConfig(window=(2003, 2007))
 
@@ -176,6 +176,7 @@ def test_levenshtein_basics():
 
 def test_normalize_title_strips_accents_and_punctuation():
     assert normalize_title("  Efecto del CLIMA, en el páramo!  ") == "efecto del clima en el paramo"
+    assert normalize_title("\u212bngstr\u00f6m") == "angstrom"
 
 
 @given(st.text(max_size=60))
@@ -187,6 +188,26 @@ def test_normalize_title_is_idempotent(text):
 @given(st.text(alphabet="aáeéiíoóuúnÑ .,;", max_size=40))
 def test_normalize_title_is_case_and_accent_insensitive(text):
     assert normalize_title(text.upper()) == normalize_title(text.lower())
+
+
+# combining marks, the Angstrom and Kelvin signs (U+212B lowers to a
+# precomposed letter, U+212A to ASCII "k") and Hangul syllables (NFD splits
+# each into jamo), mixed with ASCII and any other character
+NORMALIZE_ALPHABET = st.one_of(
+    st.sampled_from("aAkK .,-\t\u212b\u212aåÅñÑ한국어"),
+    st.characters(min_codepoint=0x0300, max_codepoint=0x036F),
+    st.characters(min_codepoint=0xAC00, max_codepoint=0xD7A3),
+    st.characters(),
+)
+
+
+@given(st.text(alphabet=NORMALIZE_ALPHABET, max_size=40))
+@example("A\u030angstrom \u212b")
+@example("Kelvin \u212a")
+@example("한국어 논문")
+@example("e\u0301\u1ab0")
+def test_normalize_title_matches_the_reference(text):
+    assert normalize_title(text) == normalize_title_reference(text)
 
 
 # --- equivalence with the all-pairs reference --------------------------------
