@@ -130,10 +130,11 @@ def _area_pairs(args, mean_mode: str = "ratios"):
 def _run_ingest(args) -> str:
     window = _parse_window(args.window)
     journals = ingest.parse_registry(Path(args.registry).read_bytes())
-    alias_map = ingest.parse_alias_file(Path(args.alias).read_bytes()) if args.alias else {}
-    dedup_config = DedupConfig(
-        window=window, title_threshold=args.title_threshold, alias_map=alias_map
-    )
+    dedup_config = DedupConfig(window=window, title_threshold=args.title_threshold)
+    if args.alias:
+        # an AliasMap, normalized and checked once here rather than per journal
+        aliases = ingest.parse_alias_file(Path(args.alias).read_bytes())
+        dedup_config = dedup_config._replace(alias_map=aliases)
 
     records_dir = Path(args.records_dir)
     if not records_dir.is_dir():

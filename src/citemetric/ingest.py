@@ -14,11 +14,9 @@ import io
 import json
 import re
 import unicodedata
-from collections import Counter
 from contextlib import contextmanager
 from enum import Enum
-from types import MappingProxyType
-from typing import Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .corpus import (
     Area,
@@ -69,10 +67,42 @@ class IngestReport(NamedTuple):
     decisions: Tuple[DedupDecision, ...]
 
 
+class AliasMap(Mapping):
+    """A read-only title-alias map whose keys and values are normalized.
+
+    Built from any mapping; keys that normalize alike must name titles that
+    normalize alike, or :class:`DomainError` names both keys.
+    :func:`deduplicate` takes an ``AliasMap`` as it is and builds one from any
+    other mapping on each call, so a map built once serves every journal.
+    """
+
+    __slots__ = ("_targets",)
+
+    def __init__(self, mapping: Mapping[str, str]):
+        targets: dict[str, str] = {}
+        for key, target in mapping.items():
+            source, target = normalize_title(key), normalize_title(target)
+            if targets.setdefault(source, target) != target:
+                first = next(k for k in mapping if normalize_title(k) == source)
+                raise DomainError(
+                    f"alias keys {first!r} and {key!r} normalize alike, targets differ"
+                )
+        self._targets = targets
+
+    def __getitem__(self, title: str) -> str:
+        return self._targets[title]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._targets)
+
+    def __len__(self) -> int:
+        return len(self._targets)
+
+
 class DedupConfig(NamedTuple):
     window: Tuple[int, int] = DEFAULT_WINDOW
     title_threshold: float = 0.92  # in (0, 1]; deduplicate checks it
-    alias_map: Mapping[str, str] = MappingProxyType({})
+    alias_map: Mapping[str, str] = AliasMap({})
 
 
 def _decode(content) -> str:
@@ -203,16 +233,16 @@ def parse_citation_export(
     return records, lines
 
 
-def parse_alias_file(content) -> dict[str, str]:
-    """Parse the title-alias CSV; both sides are stored normalized. A row
-    whose source normalizes like an earlier row's but names another target
-    raises :class:`BadCell`."""
+def parse_alias_file(content) -> AliasMap:
+    """Parse the title-alias CSV into an :class:`AliasMap`. A row whose
+    source normalizes like an earlier row's but names another target raises
+    :class:`BadCell`."""
     aliases: dict[str, str] = {}
     for line, (source, target) in _read_rows(content, ALIAS_HEADER):
         source, target = normalize_title(source), normalize_title(target)
         if aliases.setdefault(source, target) != target:
             raise BadCell(line, "to_title", f"{source!r} already aliases {aliases[source]!r}")
-    return aliases
+    return AliasMap(aliases)
 
 
 _PUNCT = re.compile(r"[^0-9a-z\s]+")
@@ -294,15 +324,40 @@ def _banded_levenshtein(a: str, b: str, k: int) -> int:
     return previous[m]
 
 
-def _exact_similarity(a: str, b: str, budget: Sequence[int]) -> float:
+def _pieces(title: str, k: int) -> tuple:
+    """The k + 1 pieces title splits into, each as (piece, lo, hi).
+
+    Pigeonhole (Pass-Join, Li et al., VLDB 2011): an edit breaks at most one
+    piece, and the edits before a piece move it at most k places, so a title
+    within k edits of this one holds some piece within its ``[lo, hi)``.
+    """
+    short, extra = divmod(len(title), k + 1)
+    pieces = []
+    start = 0
+    for index in range(k + 1):
+        end = start + short + (index > k - extra)  # the last `extra` are one longer
+        pieces.append((title[start:end], max(start - k, 0), end + k))
+        start = end
+    return tuple(pieces)
+
+
+def _holds_a_piece(title: str, pieces: tuple) -> bool:
+    """Whether title holds one of another title's pieces within its window."""
+    for piece, lo, hi in pieces:
+        if title.find(piece, lo, hi) >= 0:
+            return True
+    return False
+
+
+def _exact_similarity(a: str, b: str, budget: Mapping[int, int]) -> float:
     """title_similarity(a, b), with the banded match standing in when it is exact.
 
     Group members joined through a chain of pairs can lie further apart than
     the budget; then the full distance is computed, never the band's cap.
     """
+    if a == b:
+        return 1.0  # case, accent and punctuation twins normalize equal
     longest = max(len(a), len(b))
-    if longest == 0:
-        return 1.0
     k = budget[longest]
     distance = _banded_levenshtein(a, b, k)
     if distance > k:
@@ -323,7 +378,7 @@ def deduplicate(
     A decision names the export lines of its rows, ``lines[i]`` for
     ``records[i]``, as :func:`parse_citation_export` returns them; without
     ``lines``, record ``i`` counts as line ``i + 2`` (data starts under the
-    header). ``alias_map`` keys that normalize alike must name one title.
+    header). ``config.alias_map`` is read as :class:`AliasMap` builds it.
     """
     # also rejects NaN, which would otherwise reach the edit-budget derivation
     if not 0.0 < config.title_threshold <= 1.0:
@@ -331,12 +386,9 @@ def deduplicate(
     ids = {r.journal_id for r in records}
     if len(ids) > 1:
         raise DomainError(f"records span journals {sorted(ids)}")
-    alias: dict[str, str] = {}
-    for key, target in config.alias_map.items():
-        source, target = normalize_title(key), normalize_title(target)
-        if alias.setdefault(source, target) != target:
-            first = next(k for k in config.alias_map if normalize_title(k) == source)
-            raise DomainError(f"alias keys {first!r} and {key!r} normalize alike, targets differ")
+    alias = config.alias_map
+    if not isinstance(alias, AliasMap):
+        alias = AliasMap(alias)
 
     start, end = config.window
     statuses: dict[int, ArticleStatus] = {}
@@ -370,9 +422,11 @@ def deduplicate(
     # A pair is similar when its distance is within the budget of the longer
     # title's length L. budget[L] is the exact threshold test, so only pairs
     # that pass it join, exactly as a full pairwise scan would decide.
-    longest = max((len(t) for t in normalized.values()), default=0)
-    budget = [_edit_budget(length, config.title_threshold) for length in range(longest + 1)]
-    bags = {i: Counter(normalized[i]) for i in survivors}
+    budget = {
+        length: _edit_budget(length, config.title_threshold)
+        for length in {len(t) for t in normalized.values()}
+    }
+    pieces = {i: _pieces(t, budget[len(t)]) for i, t in normalized.items()}
 
     # similar-title groups via union-find over pairs at or above the threshold
     parent = {i: i for i in survivors}
@@ -385,8 +439,10 @@ def deduplicate(
 
     # Sweep in length order: the distance is at least the length gap, and
     # L - budget[L] never decreases with L, so once the gap exceeds the budget
-    # no longer title can match. The bag (character multiset) distance is a
-    # second lower bound; the banded match decides what both let through.
+    # no longer title can match. A pair within budget also finds one of the
+    # longer title's pieces in the shorter one (see _pieces), which rejects
+    # nearly every other pair with a few str.find calls; the banded match
+    # decides what both filters let through.
     by_length = sorted(survivors, key=lambda i: len(normalized[i]))
     for pos, i in enumerate(by_length):
         a = normalized[i]
@@ -398,7 +454,7 @@ def deduplicate(
             if find(i) == find(j):
                 continue
             if a == b or (
-                sum((bags[j] - bags[i]).values()) <= k and _banded_levenshtein(a, b, k) <= k
+                _holds_a_piece(a, pieces[j]) and _banded_levenshtein(a, b, k) <= k
             ):
                 parent[find(j)] = find(i)
 

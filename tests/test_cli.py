@@ -932,6 +932,33 @@ def test_two_area_outputs_keep_their_bytes(tmp_path):
     assert digests == TWO_AREA_DIGESTS
 
 
+#: sha256 of the corpus ``ingest`` writes from the seed-3 inputs of the
+#: benchmark's two ingesting workloads, recorded before the similar-title pass
+#: filtered pairs by pieces instead of character bags. Their journals hold
+#: 36-44 titles of 50-110 characters, or 3-25 titles with planted aliases,
+#: well past the short titles the all-pairs property test draws.
+INGEST_DIGESTS = {
+    "ingest_dense": "1aba781fc56847006edd8026dcd09be7106a853233b5a4937c5459b718442d46",
+    "paper_scale": "85a09b70ec7463fa50a303bbbc467bd2f59f7f4780976a47795cb94816cb48fe",
+}
+
+
+@pytest.mark.parametrize(
+    "profile, inputs, alias",
+    [
+        ("ingest_dense", dict(journals=3, rows=(36, 44), lengths=(50, 110), aliases=0), False),
+        ("paper_scale", dict(journals=80, rows=(3, 25), lengths=(20, 60), aliases=6), True),
+    ],
+)
+def test_ingest_keeps_its_bytes_on_the_benchmark_inputs(tmp_path, profile, inputs, alias):
+    workloads = bench_module("workloads")
+    workloads.write_registry_inputs(3, tmp_path, **inputs)
+    _, argv = workloads.ingest_command(str(tmp_path), str(tmp_path), alias=alias)
+    assert main(argv) == 0
+    corpus = (tmp_path / "corpus.json").read_bytes()
+    assert hashlib.sha256(corpus).hexdigest() == INGEST_DIGESTS[profile]
+
+
 def test_analysis_command_holds_one_copy_of_the_corpus(tmp_path):
     """The file's bytes are freed before the parse, and the parsed articles
     never all exist beside their records; holding both took the peak to

@@ -12,6 +12,8 @@ from citemetric.ingest import (
     DedupRule,
     _banded_levenshtein,
     _edit_budget,
+    _holds_a_piece,
+    _pieces,
     deduplicate,
     levenshtein,
     normalize_title,
@@ -290,6 +292,51 @@ def test_banded_levenshtein_is_exact_within_its_band(a, b, k):
 @given(st.text(alphabet="abc ", max_size=20), st.text(alphabet="abc ", max_size=20))
 def test_levenshtein_matches_the_reference(a, b):
     assert levenshtein(a, b) == levenshtein_reference(a, b)
+
+
+@st.composite
+def _pair_within_edits(draw):
+    """(a, b, k): b a title, k below its length, a b with at most k edits;
+    the longer of the two comes second, as the sweep compares them."""
+    b = draw(st.text(alphabet="ab c", min_size=1, max_size=16))
+    k = draw(st.integers(0, len(b) - 1))
+    chars = list(b)
+    for _ in range(draw(st.integers(0, k))):
+        edit = draw(st.sampled_from(["substitute", "insert", "delete"]))
+        pos = draw(st.integers(0, len(chars)))
+        if edit == "insert":
+            chars.insert(pos, draw(st.sampled_from("ab cx")))
+        elif pos < len(chars):
+            if edit == "delete":
+                del chars[pos]
+            else:
+                chars[pos] = draw(st.sampled_from("ab cx"))
+    a = "".join(chars)
+    return (b, a, k) if len(a) > len(b) else (a, b, k)
+
+
+@settings(max_examples=500)
+@given(_pair_within_edits())
+@example(("abcefgh", "abcdefgh", 1))  # deletion on the boundary of "abcd" and "efgh"
+@example(("abxyefghi", "abcdefghi", 2))  # substitutions either side of a boundary
+@example(("abcdefgh", "xabcdefgh", 1))  # insertion at the start
+@example(("abcdefgh", "abcdefghx", 1))  # insertion at the end
+@example(("abcdefgh", "abcdefgh", 0))  # k = 0: the one piece is the whole title
+@example(("xxxd", "abcd", 3))  # one-character pieces, k + 1 = len(b)
+@example(("dabc", "abcd", 2))  # a rotation, distance 2
+def test_piece_filter_keeps_every_pair_within_the_budget(case):
+    a, b, k = case
+    assert len(_pieces(b, k)) == k + 1
+    assert "".join(piece for piece, _, _ in _pieces(b, k)) == b
+    if levenshtein_reference(a, b) <= k:
+        assert _holds_a_piece(a, _pieces(b, k))
+
+
+def test_piece_filter_drops_pairs_with_no_piece_in_place():
+    # k = 0 keeps only an equal title; a piece found outside its window is no match
+    assert not _holds_a_piece("abcdefgx", _pieces("abcdefgh", 0))
+    assert not _holds_a_piece("efghabcd", _pieces("abcdefgh", 1))
+    assert _holds_a_piece("efghabcd", _pieces("abcdefgh", 4))
 
 
 @st.composite
