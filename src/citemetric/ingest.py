@@ -245,32 +245,39 @@ def parse_alias_file(content) -> AliasMap:
     return AliasMap(aliases)
 
 
-_PUNCT = re.compile(r"[^0-9a-z\s]+")
-_SPACES = re.compile(r"\s+")
+_NOT_ALNUM = re.compile(r"[^0-9a-z]+")
 
 
 def normalize_title(title: str) -> str:
-    """Lowercase, strip accents and punctuation, collapse whitespace."""
+    """Lowercase, strip accents, make each run of characters other than ASCII
+    letters and digits one space, and trim."""
     text = title.lower()
     # ASCII text is its own NFD form and holds no combining mark
     if not text.isascii():
         text = unicodedata.normalize("NFD", text)
         text = "".join(ch for ch in text if not unicodedata.combining(ch))
-    text = _PUNCT.sub(" ", text)
-    return _SPACES.sub(" ", text).strip()
+    return _NOT_ALNUM.sub(" ", text).strip()
 
 
 def levenshtein(a: str, b: str) -> int:
-    # no distance exceeds the longer length, so a band that wide is exact
-    return _banded_levenshtein(a, b, max(len(a), len(b)))
+    """Levenshtein distance, by Ukkonen's band widened until the distance fits.
+
+    The band starts at the length gap and doubles, so the cost is O(L·d) for
+    distance d; once k reaches the longer length no distance exceeds it.
+    """
+    k = max(1, abs(len(a) - len(b)))
+    while True:
+        distance = _banded_levenshtein(a, b, k)
+        if distance <= k:
+            return distance
+        k *= 2
 
 
 def title_similarity(a: str, b: str) -> float:
     """Normalized Levenshtein similarity, 1 - distance / max-length."""
-    longest = max(len(a), len(b))
-    if longest == 0:
-        return 1.0
-    return 1.0 - levenshtein(a, b) / longest
+    if a == b:
+        return 1.0  # two empty titles too
+    return 1.0 - levenshtein(a, b) / max(len(a), len(b))
 
 
 def _edit_budget(length: int, threshold: float) -> int:
@@ -347,22 +354,6 @@ def _holds_a_piece(title: str, pieces: tuple) -> bool:
         if title.find(piece, lo, hi) >= 0:
             return True
     return False
-
-
-def _exact_similarity(a: str, b: str, budget: Mapping[int, int]) -> float:
-    """title_similarity(a, b), with the banded match standing in when it is exact.
-
-    Group members joined through a chain of pairs can lie further apart than
-    the budget; then the full distance is computed, never the band's cap.
-    """
-    if a == b:
-        return 1.0  # case, accent and punctuation twins normalize equal
-    longest = max(len(a), len(b))
-    k = budget[longest]
-    distance = _banded_levenshtein(a, b, k)
-    if distance > k:
-        distance = levenshtein(a, b)
-    return 1.0 - distance / longest
 
 
 def deduplicate(
@@ -475,9 +466,7 @@ def deduplicate(
                 kept_line=lines[winner],
                 dropped_lines=tuple(lines[i] for i in dropped),
                 rule=DedupRule.SIMILAR_TITLE,
-                similarity=min(
-                    _exact_similarity(normalized[winner], normalized[i], budget) for i in dropped
-                ),
+                similarity=min(title_similarity(normalized[winner], normalized[i]) for i in dropped),
             )
         )
 
@@ -656,9 +645,10 @@ def corpus_from_json(content) -> JournalCorpus:
     A document of another shape (a missing key, a list where an object
     belongs, an unknown area, category, library or status, a journal id,
     title, year, cites, ibnp total or article text field of the wrong type,
-    a journal without an ibnp total, or a window that is not two int years
-    in order) raises :class:`MalformedCorpus` naming the section it was
-    found in. So does a well-formed document that :func:`validate_corpus`
+    memberships that are not a list of distinct libraries, ibnp totals that
+    are not an object keyed by exactly the journals' ids, or a window that is
+    not two int years in order) raises :class:`MalformedCorpus` naming the
+    section it was found in. So does a well-formed document that :func:`validate_corpus`
     finds fault with, naming its first violation, and a document nested
     deeper than the JSON parser can recurse.
 
@@ -687,21 +677,21 @@ def corpus_from_json(content) -> JournalCorpus:
     except RecursionError:
         raise MalformedCorpus("corpus JSON is nested too deeply") from None
     with _section("journals"):
-        rows = [
-            (
-                j["journal_id"],
-                j["title"],
-                Area(j["area"]),
-                IbnpCategory(j["category"]),
-                frozenset(Library(t) for t in j["memberships"]),
-            )
-            for j in doc["journals"]
-        ]
-        for index, (journal_id, title, *_) in enumerate(rows):
+        rows = []
+        for index, j in enumerate(doc["journals"]):
+            journal_id, title, memberships = j["journal_id"], j["title"], j["memberships"]
             if type(journal_id) is not str:
                 raise _scalar_fault(f"journal {index}", "journal_id", journal_id, "str")
             if type(title) is not str:
                 raise _scalar_fault(f"journal {index}", "title", title, "str")
+            area, category = Area(j["area"]), IbnpCategory(j["category"])
+            if type(memberships) is not list:
+                raise _scalar_fault(f"journal {index}", "memberships", memberships, "list")
+            libraries = frozenset(Library(t) for t in memberships)
+            # a repeated name would load merged and be written back once
+            if len(libraries) < len(memberships):
+                raise ValueError(f"journal {index}: memberships repeat a library: {memberships!r}")
+            rows.append((journal_id, title, area, category, libraries))
     with _section("articles"):
         # the hook built the well-formed articles; building any other entry
         # again raises its fault, named by its index
@@ -712,7 +702,9 @@ def corpus_from_json(content) -> JournalCorpus:
             ]
         )
     with _section("ibnp_totals"):
-        totals = dict(doc["ibnp_totals"])
+        totals = doc["ibnp_totals"]
+        if type(totals) is not dict:
+            raise TypeError(f"expected an object keyed by journal id, got {type(totals).__name__}")
         journals = []
         for journal_id, title, area, category, memberships in rows:
             if journal_id not in totals:
@@ -721,6 +713,10 @@ def corpus_from_json(content) -> JournalCorpus:
             if type(total) is not int:
                 raise _scalar_fault(f"journal {journal_id!r}", "total", total, "int")
             journals.append(JournalRecord(journal_id, title, area, category, total, memberships))
+        known = {row[0] for row in rows}
+        for journal_id in totals:
+            if journal_id not in known:
+                raise ValueError(f"entry for unknown journal {journal_id!r}")
     with _section("window"):
         window = doc["window"]
         if type(window) is not list or len(window) != 2 or any(type(y) is not int for y in window):

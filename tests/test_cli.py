@@ -477,6 +477,24 @@ def _string_ibnp_total(doc):
     doc["ibnp_totals"]["sci001"] = "12"
 
 
+def _ibnp_totals_as_pairs(doc):
+    doc["ibnp_totals"] = list(doc["ibnp_totals"].items())
+
+
+def _ibnp_total_of_no_journal(doc):
+    doc["ibnp_totals"]["sci999"] = 5
+
+
+def _memberships_as_object(doc):
+    journal = doc["journals"][0]
+    journal["memberships"] = dict.fromkeys(journal["memberships"], 1)
+
+
+def _repeated_membership(doc):
+    memberships = doc["journals"][0]["memberships"]
+    memberships.append(memberships[0])
+
+
 def _string_cites(doc):
     doc["articles"][3]["cites"] = "5"
 
@@ -575,6 +593,10 @@ def _bare_article_document(doc):
         (_unknown_library, "'Dialnet' is not a valid Library"),
         (_without_ibnp_total, "ibnp_totals: no entry for journal 'sci001'"),
         (_string_ibnp_total, "ibnp_totals: journal 'sci001': total is str, not int"),
+        (_ibnp_totals_as_pairs, "ibnp_totals: expected an object keyed by journal id, got list"),
+        (_ibnp_total_of_no_journal, "ibnp_totals: entry for unknown journal 'sci999'"),
+        (_memberships_as_object, "journals: journal 0: memberships is dict, not list"),
+        (_repeated_membership, "journals: journal 0: memberships repeat a library: "),
         (_string_cites, "articles: article 3: cites is str, not int"),
         (_boolean_cites, "articles: article 3: cites is bool, not int"),
         (_list_journal_id, "articles: article 3: journal_id is list, not str"),

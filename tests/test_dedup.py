@@ -20,7 +20,12 @@ from citemetric.ingest import (
     parse_citation_export,
     title_similarity,
 )
-from oracles import deduplicate_reference, levenshtein_reference, normalize_title_reference
+from oracles import (
+    deduplicate_reference,
+    levenshtein_reference,
+    normalize_title_reference,
+    title_similarity_reference,
+)
 
 CONFIG = DedupConfig(window=(2003, 2007))
 
@@ -292,6 +297,23 @@ def test_banded_levenshtein_is_exact_within_its_band(a, b, k):
 @given(st.text(alphabet="abc ", max_size=20), st.text(alphabet="abc ", max_size=20))
 def test_levenshtein_matches_the_reference(a, b):
     assert levenshtein(a, b) == levenshtein_reference(a, b)
+
+
+@given(
+    st.one_of(
+        st.tuples(st.text(alphabet="abc ", max_size=20), st.text(alphabet="abc ", max_size=20)),
+        # disjoint alphabets: the distance is the longer length, so the band
+        # widens until k reaches it
+        st.tuples(st.text(alphabet="abc", max_size=60), st.text(alphabet="xyz", max_size=60)),
+    )
+)
+@example(("", ""))
+@example(("", "abc"))
+@example(("a" * 60, "x" * 60))
+@example(("a" * 37, "x" * 60))
+def test_title_similarity_matches_the_reference(pair):
+    a, b = pair
+    assert title_similarity(a, b) == title_similarity_reference(a, b)
 
 
 @st.composite
