@@ -57,8 +57,6 @@ VARIABLES: Mapping[str, Callable[[IndicatorSet], Optional[float]]] = {
     "ca_mean": lambda s: _optional(s.ca_mean),
     "ratio_ba": lambda s: _optional(s.visibility_ratio),
     "h": lambda s: float(s.h),
-    "h_sc": lambda s: _optional(s.h_sc),
-    "cpn": lambda s: _optional(s.cpn),
 }
 
 #: the size / indexation / citation columns the comparison tables report

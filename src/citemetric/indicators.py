@@ -21,8 +21,7 @@ from .corpus import (
 from .errors import DomainError
 
 INDICATOR_CSV_HEADER = (
-    "journal_id,title,area,category,air_ibnp,air_ga,ratio_ba,cr_ga,ca_mean,"
-    "h,h_sc,pi_ld,pi_ibnp,cpn"
+    "journal_id,title,area,category,air_ibnp,air_ga,ratio_ba,cr_ga,ca_mean,h,pi_ld,pi_ibnp,cpn"
 )
 
 #: library indexation weights, a power-of-ten ladder from free search to
@@ -53,7 +52,6 @@ class IndicatorSet(NamedTuple):
     h: int
     pi_ld: int
     pi_ibnp: int
-    h_sc: Optional[int] = None  # no input supplies it; the CSV keeps an empty column
     cpn: Optional[float] = None
 
 
@@ -271,7 +269,6 @@ def indicators_csv(pairs: Sequence[Tuple[JournalRecord, IndicatorSet]]) -> str:
             s.cr_ga,
             _cell(s.ca_mean),
             s.h,
-            _cell(s.h_sc),
             s.pi_ld,
             s.pi_ibnp,
             _cell(s.cpn),

@@ -7,6 +7,7 @@ import pytest
 from citemetric.analysis import (
     DEFAULT_COMPARE_VARIABLES,
     FACTOR_VARIABLES,
+    VARIABLES,
     GroupDimension,
     citation_factor_analysis,
     citation_regression,
@@ -25,11 +26,13 @@ from citemetric.corpus import (
     JournalCorpus,
     JournalRecord,
     Library,
+    filter_by_area,
 )
 from citemetric.errors import DomainError
 from citemetric.indicators import corpus_indicator_sets, summarize_group
-from citemetric.statkit import FactorResult, ols_fit, pca_unrotated
-from fixture_corpus import build_fixture_corpus
+from citemetric.ingest import corpus_from_json
+from citemetric.statkit import FactorResult, mid_ranks, ols_fit, pca_unrotated
+from fixture_corpus import bench_module, build_fixture_corpus
 from oracles import spearman_r_reference
 
 
@@ -191,11 +194,31 @@ def test_correlation_matches_reference_on_random_corpus():
 
 
 def test_correlation_requires_three_defined_pairs():
+    # no registry production leaves ca_mean undefined for all but two journals
     specs = [
-        (f"j{i}", IbnpCategory.B, {Library.GOOGLE_SCHOLAR}, 100, [i + 1]) for i in range(5)
+        (f"j{i}", IbnpCategory.B, {Library.GOOGLE_SCHOLAR}, 100 if i < 2 else 0, [i + 1])
+        for i in range(5)
     ]
-    with pytest.raises(DomainError, match="h vs h_sc: only 0 journals"):
-        correlation_matrix(make_pairs(specs), ["h", "h_sc"])
+    with pytest.raises(DomainError, match="h vs ca_mean: only 2 journals"):
+        correlation_matrix(make_pairs(specs), ["h", "ca_mean"])
+
+
+def test_every_variable_is_defined_and_ranks_journals_its_own_way(tmp_path):
+    """Within each area of the seed-3 two-area corpus, every named variable is
+    defined for at least three journals, and no two rank the journals alike. A
+    variable that no input fills, or one that is another divided by a constant
+    per area, would give every analysis nothing of its own to report."""
+    bench_module("workloads").write_corpus_input(3, tmp_path, journals=60, articles=(5, 20))
+    corpus = corpus_from_json((tmp_path / "corpus.json").read_text(encoding="utf-8"))
+    for area in Area:
+        pairs = corpus_indicator_sets(filter_by_area(corpus, area))
+        first_with_ranks = {}
+        for name, extract in VARIABLES.items():
+            values = [extract(s) for _, s in pairs]
+            defined = [i for i, v in enumerate(values) if v is not None]
+            assert len(defined) >= 3, (area, name)
+            ranks = tuple(zip(defined, mid_ranks([values[i] for i in defined])))
+            assert first_with_ranks.setdefault(ranks, name) == name, (area, name)
 
 
 # --- factor analysis ----------------------------------------------------------

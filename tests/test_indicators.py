@@ -358,8 +358,7 @@ def test_indicators_csv_header_and_rendering():
     assert cells[0] == "j1"
     assert cells[6] == "0.0200"  # visibility ratio, 4 decimals
     assert cells[8] == "0.5000"
-    assert cells[10] == ""  # h_sc undefined renders empty
-    assert cells[13] == ""  # cpn unset
+    assert cells[12] == ""  # cpn unset renders empty
 
 
 def test_indicators_csv_undefined_quotients_render_empty():
@@ -383,7 +382,7 @@ def test_indicators_csv_round_trips_titles_with_line_breaks():
     rows = list(csv.reader(io.StringIO(indicators_csv(pairs), newline="")))
     assert rows[0] == INDICATOR_CSV_HEADER.split(",")
     assert [row[:2] for row in rows[1:]] == [[f"j{n}", t] for n, t in enumerate(_AWKWARD_TITLES)]
-    assert {len(row) for row in rows} == {14}
+    assert {len(row) for row in rows} == {len(INDICATOR_CSV_HEADER.split(","))}
 
 
 # NUL is left out: csv.writer refuses it on 3.10

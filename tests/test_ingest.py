@@ -292,6 +292,23 @@ def test_fixture_corpus_matches_bundled_file():
     assert corpus_to_json(build_fixture_corpus()) == BUNDLED_CORPUS.read_text(encoding="utf-8")
 
 
+def test_corpus_json_round_trip_is_the_canonical_form():
+    """JSON objects carry no key order and memberships are a set, so a document
+    that lists them in another order loads to the same corpus, which writes
+    the canonical bytes back."""
+    text = BUNDLED_CORPUS.read_text(encoding="utf-8")
+    corpus = corpus_from_json(text)
+    assert corpus_to_json(corpus) == text
+    doc = json.loads(text)
+    doc["journals"][0]["memberships"].reverse()
+    doc["ibnp_totals"] = dict(reversed(doc["ibnp_totals"].items()))
+    reordered = json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
+    assert reordered != text
+    loaded = corpus_from_json(reordered)
+    assert loaded == corpus
+    assert corpus_to_json(loaded) == text
+
+
 def _traced_load(tmp_path):
     """Load a 2,400-article bench corpus under tracemalloc: (text, corpus,
     memory retained after the load, peak memory during it)."""
