@@ -66,15 +66,21 @@ DEFAULT_COMPARE_VARIABLES = ("air_ibnp_log10", "ratio_ba", "pi_ld", "cr_ga_log10
 FACTOR_VARIABLES = ("h", "cr_ga_log10", "ca_mean")
 
 
+class Letters(NamedTuple):
+    labels: Tuple[str, ...]  # the groups where the variable is defined
+    letters: Tuple[str, ...]  # one Tukey letter string per label
+
+
 class ComparisonTable(NamedTuple):
     dimension: GroupDimension
     area: Area
-    rows: Tuple[GroupSummary, ...]
-    tests: Mapping[str, TestResult]
-    letters: Mapping[str, Tuple[Tuple[str, ...], Tuple[str, ...]]]  # (labels, letters)
-    excluded: Tuple[Tuple[str, str], ...]
     method: str
     alpha: float
+    variables: Tuple[str, ...]
+    rows: Tuple[GroupSummary, ...]
+    tests: Mapping[str, TestResult]
+    letters: Mapping[str, Letters]
+    excluded: Tuple[Tuple[str, str], ...]
 
 
 class CorrelationMatrix(NamedTuple):
@@ -131,7 +137,8 @@ def compare_groups(
     runs. ``area`` only labels the table.
     """
     dimension = GroupDimension(dimension)
-    if not _distinct(variables):
+    names = _distinct(variables)
+    if not names:
         raise DomainError("need at least one variable")
     if method not in ("anova", "kw"):
         raise DomainError(f"unknown method {method!r}; use 'anova' or 'kw'")
@@ -154,8 +161,8 @@ def compare_groups(
     rows = tuple(summarize_group(sets, label) for label, sets in included)
 
     tests: dict[str, TestResult] = {}
-    letters: dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {}
-    for name in variables:
+    letters: dict[str, Letters] = {}
+    for name in names:
         extract = _extractor(name)
         labels: list[str] = []
         value_groups: list[list[float]] = []
@@ -170,17 +177,18 @@ def compare_groups(
             tests[name] = anova_oneway(value_groups)
         else:
             tests[name] = kruskal_wallis(value_groups)
-        letters[name] = (tuple(labels), tukey_groups(value_groups, alpha))
+        letters[name] = Letters(tuple(labels), tukey_groups(value_groups, alpha))
 
     return ComparisonTable(
         dimension=dimension,
         area=area,
+        method=method,
+        alpha=alpha,
+        variables=names,
         rows=rows,
         tests=tests,
         letters=letters,
         excluded=excluded,
-        method=method,
-        alpha=alpha,
     )
 
 
@@ -257,51 +265,30 @@ def citation_regression(pairs: Pairs, response: str = "logcr") -> RegressionResu
 # --- serialization ----------------------------------------------------------
 
 
-def _finite(value):
-    if value is None:
-        return None
+def _plain(value):
+    """A named tuple as an object of its fields in order, any other tuple or
+    list as an array, a dict as an object, and a non-finite float as null."""
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        return {name: _plain(item) for name, item in zip(value._fields, value)}
+    if isinstance(value, (tuple, list)):
+        return [_plain(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
     if isinstance(value, float) and not math.isfinite(value):
         return None
     return value
 
 
 def _dumps(doc) -> str:
-    return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
+    return json.dumps(_plain(doc), ensure_ascii=False, indent=2) + "\n"
 
 
 def comparison_to_json(table: ComparisonTable) -> str:
-    doc = {
-        "dimension": table.dimension.value,
-        "area": table.area.value,
-        "method": table.method,
-        "alpha": table.alpha,
-        "variables": list(table.tests.keys()),
-        "rows": [
-            {name: _finite(value) for name, value in zip(GroupSummary._fields, row)}
-            for row in table.rows
-        ],
-        "tests": {
-            name: {
-                "method": test.method.value,
-                "statistic": _finite(test.statistic),
-                "df1": test.df1,
-                "df2": test.df2,
-                "p_value": test.p_value,
-                "n": test.n,
-            }
-            for name, test in table.tests.items()
-        },
-        "letters": {
-            name: {"labels": list(labels), "letters": list(letters)}
-            for name, (labels, letters) in table.letters.items()
-        },
-        "excluded": [[label, reason] for label, reason in table.excluded],
-    }
-    return _dumps(doc)
+    return _dumps(table)
 
 
 def correlation_to_json(matrix: CorrelationMatrix) -> str:
-    return _dumps(matrix._asdict())
+    return _dumps(matrix)
 
 
 def factor_to_json(result: FactorResult) -> str:
@@ -315,18 +302,4 @@ def factor_to_json(result: FactorResult) -> str:
 
 
 def regression_to_json(result: RegressionResult, response: str) -> str:
-    return _dumps(
-        {
-            "response": response,
-            "predictors": list(REGRESSION_PREDICTORS),
-            "coefficients": list(result.coefficients),
-            "r2": _finite(result.r2),
-            "r2_adjusted": _finite(result.r2_adjusted),
-            "f": _finite(result.f_statistic),
-            "f_p_value": result.f_p_value,
-            "sequential_ss": list(result.sequential_ss),
-            "residual_ss": result.residual_ss,
-            "vif": [_finite(v) for v in result.vif],
-            "n": result.n,
-        }
-    )
+    return _dumps({"response": response, "predictors": REGRESSION_PREDICTORS, **result._asdict()})

@@ -37,11 +37,11 @@ class StatMethod(str, Enum):
 
 
 class TestResult(NamedTuple):
+    method: StatMethod
     statistic: float
     df1: float
     df2: Optional[float]
     p_value: float
-    method: StatMethod
     n: int
 
 
@@ -55,7 +55,7 @@ class RegressionResult(NamedTuple):
     coefficients: Tuple[float, ...]  # intercept first
     r2: float
     r2_adjusted: float
-    f_statistic: float
+    f: float
     f_p_value: float
     sequential_ss: Tuple[float, ...]
     residual_ss: float
@@ -347,7 +347,7 @@ def ols_fit(y: Sequence[float], predictors: Sequence[Sequence[float]]) -> Regres
         coefficients=tuple(float(b) for b in beta),
         r2=r2,
         r2_adjusted=r2_adj,
-        f_statistic=f_stat,
+        f=f_stat,
         f_p_value=f_p,
         sequential_ss=sequential,
         residual_ss=rss,
@@ -387,7 +387,7 @@ def anova_oneway(groups: Sequence[Sequence[float]]) -> TestResult:
         f_stat = (ssb / df1) / (ssw / df2)
         p = f_tail(f_stat, df1, df2)
     return TestResult(
-        statistic=f_stat, df1=df1, df2=df2, p_value=p, method=StatMethod.ANOVA_F, n=n
+        method=StatMethod.ANOVA_F, statistic=f_stat, df1=df1, df2=df2, p_value=p, n=n
     )
 
 
@@ -415,11 +415,11 @@ def kruskal_wallis(groups: Sequence[Sequence[float]]) -> TestResult:
     correction = 1.0 - sum(t**3 - t for t in tie_counts.values()) / (n**3 - n)
     h = 0.0 if correction == 0.0 else max(h / correction, 0.0)
     return TestResult(
+        method=StatMethod.KRUSKAL_WALLIS_H,
         statistic=h,
         df1=k - 1,
         df2=None,
         p_value=chi_square_tail(h, k - 1),
-        method=StatMethod.KRUSKAL_WALLIS_H,
         n=n,
     )
 

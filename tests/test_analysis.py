@@ -4,11 +4,15 @@ import random
 import numpy as np
 import pytest
 
+from citemetric import statkit
 from citemetric.analysis import (
     DEFAULT_COMPARE_VARIABLES,
     FACTOR_VARIABLES,
     VARIABLES,
+    ComparisonTable,
+    CorrelationMatrix,
     GroupDimension,
+    Letters,
     citation_factor_analysis,
     citation_regression,
     compare_groups,
@@ -29,9 +33,15 @@ from citemetric.corpus import (
     filter_by_area,
 )
 from citemetric.errors import DomainError
-from citemetric.indicators import corpus_indicator_sets, summarize_group
+from citemetric.indicators import GroupSummary, corpus_indicator_sets, summarize_group
 from citemetric.ingest import corpus_from_json
-from citemetric.statkit import FactorResult, mid_ranks, ols_fit, pca_unrotated
+from citemetric.statkit import (
+    FactorResult,
+    RegressionResult,
+    mid_ranks,
+    ols_fit,
+    pca_unrotated,
+)
 from fixture_corpus import bench_module, build_fixture_corpus
 from oracles import spearman_r_reference
 
@@ -376,13 +386,22 @@ def test_serialized_documents_carry_required_keys():
     doc = json.loads(comparison_to_json(table))
     assert {"dimension", "variables", "rows", "tests", "letters"} <= set(doc)
     assert set(DEFAULT_COMPARE_VARIABLES) == set(doc["tests"])
+    # every document's keys are its result's fields, in order
+    assert tuple(doc) == ComparisonTable._fields
+    # read through the module: pytest would try to collect a bare TestResult
+    assert all(tuple(test) == statkit.TestResult._fields for test in doc["tests"].values())
+    assert all(tuple(entry) == Letters._fields for entry in doc["letters"].values())
+    assert all(tuple(row) == GroupSummary._fields for row in doc["rows"])
 
     matrix = correlation_matrix(pairs, ["h", "cr_ga_log10"])
     doc = json.loads(correlation_to_json(matrix))
     assert {"variables", "r", "significant"} <= set(doc)
+    assert tuple(doc) == CorrelationMatrix._fields
 
     doc = json.loads(factor_to_json(citation_factor_analysis(pairs)))
     assert {"eigenvalues", "loadings", "communalities"} <= set(doc)
+    assert tuple(doc) == ("variables", *FactorResult._fields, "contributing")
 
     doc = json.loads(regression_to_json(citation_regression(pairs), "logcr"))
     assert {"coefficients", "r2_adjusted", "f", "sequential_ss", "vif"} <= set(doc)
+    assert tuple(doc) == ("response", "predictors", *RegressionResult._fields)

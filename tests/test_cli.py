@@ -161,6 +161,22 @@ def test_compare_kw_on_an_all_tied_variable_exits_zero(tmp_path):
     assert doc["variables"] == list(analysis.DEFAULT_COMPARE_VARIABLES)
 
 
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not a JSON number")
+
+
+def test_compare_writes_an_infinite_statistic_as_null(tmp_path):
+    # pi_ibnp is the category's score, constant within every category, so its F is infinite
+    out = tmp_path / "compare.json"
+    argv = ["compare", "--corpus", str(BUNDLED_CORPUS), "--area", "ciencias",
+            "--by", "category", "--vars", "pi_ibnp,h", "--out", str(out)]
+    assert main(argv) == 0
+    doc = json.loads(out.read_text(encoding="utf-8"), parse_constant=_refuse_constant)
+    assert doc["tests"]["pi_ibnp"] == {
+        "method": "AnovaF", "statistic": None, "df1": 3, "df2": 79, "p_value": 0.0, "n": 83
+    }
+
+
 def test_end_to_end_runs_are_byte_identical(tmp_path):
     first = tmp_path / "one"
     second = tmp_path / "two"

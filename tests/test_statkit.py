@@ -208,7 +208,7 @@ def test_ols_sequential_ss_decomposition_on_noisy_data():
         assert permuted.coefficients[1] == pytest.approx(result.coefficients[2], abs=1e-9)
         assert permuted.coefficients[2] == pytest.approx(result.coefficients[1], abs=1e-9)
         assert permuted.r2 == pytest.approx(result.r2, abs=1e-9)
-        assert permuted.f_statistic == pytest.approx(result.f_statistic, rel=1e-9)
+        assert permuted.f == pytest.approx(result.f, rel=1e-9)
 
 
 def test_ols_matches_numpy_lstsq():
@@ -229,7 +229,7 @@ def test_ols_constant_response_has_zero_slopes():
     assert result.coefficients[1] == pytest.approx(0.0, abs=1e-9)
     assert result.coefficients[2] == pytest.approx(0.0, abs=1e-9)
     assert result.r2 == 0.0
-    assert result.f_statistic == 0.0
+    assert result.f == 0.0
 
 
 def test_ols_vif_at_least_one_and_high_for_collinear():
