@@ -19,6 +19,13 @@ required flag present, and every value passing its type and choices.
 Anything else (``--help``, ``--flag=value``, an abbreviated, unknown,
 repeated or missing flag, a bad value) goes to argparse, which parses it
 from the same table and writes every help, usage and error message.
+
+A data error raised while the registry, the alias file, an export or the
+corpus is decoded or parsed starts with that file's path.
+
+``python -m citemetric.cli`` and the ``citemetric`` console script run
+``run_and_exit``, which ends the process without interpreter teardown once
+``main`` has returned.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ import os
 import re
 import sys
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Optional, Sequence, Tuple
@@ -116,12 +124,24 @@ def _write_atomic(path: str, data: bytes) -> None:
         raise
 
 
+@contextmanager
+def _reading(path):
+    """Put ``path`` first in a data error raised while its contents are decoded
+    or parsed; an OSError names its file already."""
+    try:
+        yield
+    except (CitemetricError, ValueError) as error:
+        raise DomainError(f"{path}: {error}") from None
+
+
 def _area_pairs(args, mean_mode: str = "ratios"):
     """Load --corpus, keep --area's journals if one is given, and compute indicators."""
     from . import indicators
 
-    # decoded here, so the file's bytes are freed before the parse starts
-    corpus = ingest.corpus_from_json(Path(args.corpus).read_bytes().decode("utf-8-sig"))
+    with _reading(args.corpus):
+        # decoded here, so the file's bytes are freed before the parse starts;
+        # corpus_from_json strips a leading byte-order mark, as it does from bytes
+        corpus = ingest.corpus_from_json(Path(args.corpus).read_bytes().decode("utf-8"))
     if args.area:
         corpus = filter_by_area(corpus, _AREAS[args.area])
     return indicators.corpus_indicator_sets(corpus, mean_mode=mean_mode)
@@ -129,11 +149,13 @@ def _area_pairs(args, mean_mode: str = "ratios"):
 
 def _run_ingest(args) -> str:
     window = _parse_window(args.window)
-    journals = ingest.parse_registry(Path(args.registry).read_bytes())
+    with _reading(args.registry):
+        journals = ingest.parse_registry(Path(args.registry).read_bytes())
     dedup_config = DedupConfig(window=window, title_threshold=args.title_threshold)
     if args.alias:
         # an AliasMap, normalized and checked once here rather than per journal
-        aliases = ingest.parse_alias_file(Path(args.alias).read_bytes())
+        with _reading(args.alias):
+            aliases = ingest.parse_alias_file(Path(args.alias).read_bytes())
         dedup_config = dedup_config._replace(alias_map=aliases)
 
     records_dir = Path(args.records_dir)
@@ -142,7 +164,8 @@ def _run_ingest(args) -> str:
     records_by_journal = {}
     for path in sorted(records_dir.glob("*.csv")):
         journal_id = path.stem
-        records, lines = ingest.parse_citation_export(path.read_bytes(), journal_id)
+        with _reading(path):
+            records, lines = ingest.parse_citation_export(path.read_bytes(), journal_id)
         cleaned, _report = ingest.deduplicate(records, dedup_config, lines)
         records_by_journal[journal_id] = cleaned
     return ingest.corpus_to_json(ingest.build_corpus(journals, records_by_journal, window))
@@ -336,5 +359,27 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return 0
 
 
+def run_and_exit() -> None:
+    """Run ``main`` on ``sys.argv``, flush stdout and stderr, and end the
+    process with ``os._exit``. That skips interpreter teardown (freeing every
+    module, a last garbage collection, ``atexit`` handlers), work on memory
+    the kernel reclaims anyway. It is safe because ``main`` has written,
+    closed and renamed every output, and the package starts no thread and
+    registers no ``atexit`` handler. An exception or ``SystemExit`` out of
+    ``main`` (help, a usage error, a bug) takes the normal exit.
+
+    A stream that is None (its descriptor was closed at start-up) is not
+    flushed; a flush that fails exits 120, as the interpreter's own exit does.
+    """
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            try:
+                stream.flush()
+            except (OSError, ValueError):
+                code = 120
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run_and_exit()

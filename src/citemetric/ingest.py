@@ -106,9 +106,11 @@ class DedupConfig(NamedTuple):
 
 
 def _decode(content) -> str:
+    """The text of ``content`` (text, or UTF-8 bytes) without one leading
+    byte-order mark, the same one for bytes and for text."""
     if isinstance(content, bytes):
         return content.decode("utf-8-sig")
-    return content.lstrip("﻿")
+    return content.removeprefix("\ufeff")
 
 
 _LINE_BREAK = re.compile(r"\r\n?|\n")  # the line ends a csv reader counts
@@ -649,11 +651,13 @@ def corpus_from_json(content) -> JournalCorpus:
     are not an object keyed by exactly the journals' ids, or a window that is
     not two int years in order) raises :class:`MalformedCorpus` naming the
     section it was found in. So does a well-formed document that :func:`validate_corpus`
-    finds fault with, naming its first violation, and a document nested
-    deeper than the JSON parser can recurse.
+    finds fault with, naming its first violation, a document nested
+    deeper than the JSON parser can recurse, bytes that are not UTF-8 and
+    text that is not JSON.
 
     ``content`` is the document's text or its UTF-8 bytes; given text, the
-    caller can free the bytes before the parse. Each article becomes its
+    caller can free the bytes before the parse. One leading byte-order mark
+    is skipped, from text as from bytes. Each article becomes its
     record as soon as the parser has read it, so the parsed objects of a
     large corpus never exist all at once: at its peak a load holds the text
     plus one record per article. The records of a load share one object per
@@ -674,6 +678,10 @@ def corpus_from_json(content) -> JournalCorpus:
 
     try:
         doc = json.loads(_decode(content), object_hook=article_or_object)
+    except UnicodeDecodeError as error:
+        raise MalformedCorpus(f"corpus JSON is not UTF-8: {error}") from None
+    except ValueError as error:  # JSONDecodeError, or an integer over the digit limit
+        raise MalformedCorpus(f"corpus JSON does not parse: {error}") from None
     except RecursionError:
         raise MalformedCorpus("corpus JSON is nested too deeply") from None
     with _section("journals"):

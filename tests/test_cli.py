@@ -23,7 +23,7 @@ from citemetric.cli import (
     _top,
     main,
 )
-from citemetric.errors import DomainError
+from citemetric.errors import DomainError, MalformedCorpus
 from fixture_corpus import bench_module, write_fixture_tree
 
 REPO = pathlib.Path(__file__).parent.parent
@@ -413,6 +413,7 @@ def _nul_in_registry_title(registry, records, alias):
     lines = registry.read_text(encoding="utf-8").split("\n")
     lines[2] = lines[2].replace(",", "\0,", 2)
     registry.write_text("\n".join(lines), encoding="utf-8")
+    return registry
 
 
 def _nul_in_export_authors(registry, records, alias):
@@ -420,17 +421,20 @@ def _nul_in_export_authors(registry, records, alias):
     lines = export.read_text(encoding="utf-8").split("\n")
     lines[3] = lines[3].replace(",", ",A\0,", 1)
     export.write_text("\n".join(lines), encoding="utf-8")
+    return export
 
 
 def _nul_in_alias(registry, records, alias):
     # CRLF line ends and a quoted cell over two lines put the NUL on line 4
     text = 'from_title,to_title\r\n"Clima\r\ny suelo",Climate\r\nSuelo\0,Soil\r\n'
     alias.write_bytes(text.encode("utf-8"))
+    return alias
 
 
 def _alias_rows_that_disagree(registry, records, alias):
     rows = "from_title,to_title\nTitulo uno,Title one\ntitulo UNO,Title two\n"
     alias.write_text(rows, encoding="utf-8")
+    return alias
 
 
 def _export_cell_over_the_csv_field_limit(registry, records, alias):
@@ -438,6 +442,7 @@ def _export_cell_over_the_csv_field_limit(registry, records, alias):
     lines = export.read_text(encoding="utf-8").split("\n")
     lines[3] = lines[3].replace(",", "," + "A" * 200_000, 1)
     export.write_text("\n".join(lines), encoding="utf-8")
+    return export
 
 
 @pytest.mark.parametrize(
@@ -454,14 +459,52 @@ def test_unreadable_csv_input_is_a_one_line_data_error(tmp_path, capsys, damage,
     registry, records = write_fixture_tree(tmp_path)
     alias = tmp_path / "alias.csv"
     alias.write_text("from_title,to_title\n", encoding="utf-8")
-    damage(registry, records, alias)
+    damaged = damage(registry, records, alias)
     out = tmp_path / "corpus.json"
     args = ["ingest", "--registry", str(registry), "--records-dir", str(records)]
     assert main(args + ["--alias", str(alias), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("citemetric ingest: ") and says in err
+    assert err.startswith(f"citemetric ingest: {damaged}: ") and says in err
     assert len(err.splitlines()) == 1
     assert not out.exists()
+
+
+def test_a_bad_export_cell_names_its_export(tmp_path, capsys):
+    registry, records = write_fixture_tree(tmp_path)
+    exports = sorted(records.glob("*.csv"))
+    for export in exports[3:]:
+        export.unlink()
+    lines = exports[1].read_text(encoding="utf-8").split("\n")
+    lines[5] = "x" + lines[5][lines[5].index(","):]
+    exports[1].write_text("\n".join(lines), encoding="utf-8")
+    out = tmp_path / "corpus.json"
+    args = ["ingest", "--registry", str(registry), "--records-dir", str(records), "--out", str(out)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err == f"citemetric ingest: {exports[1]}: line 6, column 'cites': not an integer: 'x'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("marks", [0, 1, 2])
+def test_the_command_skips_the_byte_order_mark_the_loader_skips(tmp_path, capsys, marks):
+    corpus = tmp_path / "corpus.json"
+    corpus.write_bytes("\ufeff".encode("utf-8") * marks + BUNDLED_CORPUS.read_bytes())
+    try:
+        ingest.corpus_from_json(corpus.read_bytes())
+        loads = True
+    except MalformedCorpus:
+        loads = False
+    assert loads == (marks < 2)
+    out = tmp_path / "table.md"
+    argv = ["classify", "--corpus", str(corpus), "--quartile-mode", "fixed", "--top", "2"]
+    assert main(argv + ["--format", "md", "--out", str(out)]) == (0 if loads else 1)
+    if loads:
+        assert out.read_bytes() == GOLDEN_MD.read_bytes()
+    else:
+        assert capsys.readouterr().err == (
+            f"citemetric classify: {corpus}: corpus JSON does not parse: "
+            "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)\n"
+        )
 
 
 def test_deeply_nested_corpus_json_is_a_one_line_data_error(tmp_path, capsys):
@@ -469,7 +512,8 @@ def test_deeply_nested_corpus_json_is_a_one_line_data_error(tmp_path, capsys):
     corpus.write_text("[" * 200_000, encoding="utf-8")
     out = tmp_path / "table.csv"
     assert main(["classify", "--corpus", str(corpus), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "citemetric classify: corpus JSON is nested too deeply\n"
+    err = capsys.readouterr().err
+    assert err == f"citemetric classify: {corpus}: corpus JSON is nested too deeply\n"
     assert not out.exists()
 
 
@@ -617,6 +661,15 @@ def _bare_article_document(doc):
     doc.update(article)
 
 
+# these two write bytes of their own in place of the damaged document
+def _not_json(doc):
+    return b'{"window": [2003, 2007],'
+
+
+def _not_utf8(doc):
+    return b"\xff" + json.dumps(doc).encode("utf-8")
+
+
 @pytest.mark.parametrize(
     "damage, says",
     [
@@ -655,17 +708,21 @@ def _bare_article_document(doc):
         # where a journal or the document belongs is refused as one
         (_article_among_journals, "journals: "),
         (_bare_article_document, "journals: "),
+        (_not_json, "does not parse: Expecting property name enclosed in double quotes: line 1"),
+        # the command decodes the file itself, so the codec names the fault
+        (_not_utf8, "'utf-8' codec can't decode byte 0xff in position 0"),
     ],
 )
 def test_malformed_corpus_json_is_a_one_line_data_error(tmp_path, capsys, damage, says):
     doc = json.loads(BUNDLED_CORPUS.read_text(encoding="utf-8"))
-    damage(doc)
+    content = damage(doc)
     corpus = tmp_path / "corpus.json"
-    corpus.write_text(json.dumps(doc), encoding="utf-8")
+    corpus.write_bytes(json.dumps(doc).encode("utf-8") if content is None else content)
     out = tmp_path / "table.csv"
     assert main(["classify", "--corpus", str(corpus), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("citemetric classify: corpus JSON ")
+    assert err.startswith(f"citemetric classify: {corpus}: ")
+    assert err.startswith(f"citemetric classify: {corpus}: corpus JSON ") or damage is _not_utf8
     assert says in err
     assert len(err.splitlines()) == 1
     assert not out.exists()
@@ -771,6 +828,66 @@ def test_only_factor_and_regress_load_numpy(tmp_path):
     # the probe does see numpy once a linear-algebra command runs
     assert first_to_load_numpy(commands + [["factor", *area]]) == "factor"
     assert first_to_load_numpy([["regress", *area]]) == "regress"
+
+
+def _spawn(argv, before=()):
+    """Run ``python -m citemetric.cli argv`` from the repository root in a new
+    interpreter that imports the package from src/, after ``before``."""
+    return subprocess.run(
+        [*before, sys.executable, "-m", "citemetric.cli", *argv],
+        cwd=REPO,
+        env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+        capture_output=True,
+    )
+
+
+_GOLDEN_MD_ARGV = [
+    "classify", "--corpus", str(BUNDLED_CORPUS), "--quartile-mode", "fixed", "--top", "2",
+    "--format", "md",
+]
+
+
+def test_a_module_run_writes_what_main_writes(tmp_path):
+    fixture = ["--corpus", str(BUNDLED_CORPUS), "--area", "ciencias"]
+    table, factor = tmp_path / "table.md", tmp_path / "factor.json"
+    for argv in ([*_GOLDEN_MD_ARGV, "--out", str(table)], ["factor", *fixture, "--out", str(factor)]):
+        run = _spawn(argv)
+        assert (run.returncode, run.stdout, run.stderr) == (0, b"", b""), argv
+    assert table.read_bytes() == GOLDEN_MD.read_bytes()
+    in_process = tmp_path / "in_process.json"
+    assert main(["factor", *fixture, "--out", str(in_process)]) == 0
+    assert factor.read_bytes() == in_process.read_bytes()
+
+
+def test_a_module_run_exits_with_the_code_of_each_outcome(tmp_path):
+    not_json = tmp_path / "corpus.json"
+    not_json.write_text("{", encoding="utf-8")
+    run = _spawn(["classify", "--corpus", str(not_json), "--out", str(tmp_path / "t.csv")])
+    assert run.returncode == 1
+    assert run.stderr.startswith(b"citemetric classify: ") and run.stderr.count(b"\n") == 1
+    run = _spawn(["classify", "--out"])
+    assert run.returncode == 2 and run.stderr.startswith(b"usage: citemetric")
+    run = _spawn(["--help"])
+    assert run.returncode == 0 and run.stdout.startswith(b"usage: citemetric")
+
+
+def test_a_module_run_succeeds_with_its_stdout_closed(tmp_path):
+    out = tmp_path / "table.md"
+    run = _spawn([*_GOLDEN_MD_ARGV, "--out", str(out)], before=["sh", "-c", 'exec "$@" >&-', "sh"])
+    assert (run.returncode, run.stderr) == (0, b"")
+    assert out.read_bytes() == GOLDEN_MD.read_bytes()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_stdout_that_cannot_be_flushed_exits_120():
+    code = "import citemetric.cli as cli; cli.main = lambda: print('x') or 0; cli.run_and_exit()"
+    # buffered, so print succeeds and the flush is the first write to fail
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    with open("/dev/full", "wb") as full:
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=dict(env, PYTHONPATH=str(REPO / "src")), stdout=full
+        )
+    assert run.returncode == 120
 
 
 def test_parse_window():

@@ -13,7 +13,7 @@ from citemetric.corpus import (
     Library,
     validate_corpus,
 )
-from citemetric.errors import BadCell, DomainError, DuplicateId, MalformedHeader
+from citemetric.errors import BadCell, DomainError, DuplicateId, MalformedCorpus, MalformedHeader
 from citemetric.ingest import (
     REGISTRY_HEADER,
     DedupConfig,
@@ -25,7 +25,7 @@ from citemetric.ingest import (
     parse_citation_export,
     parse_registry,
 )
-from fixture_corpus import bench_module, build_fixture_corpus
+from fixture_corpus import bench_module, build_fixture_corpus, registry_csv
 
 EXPORT_HEADER = "cites,authors,title,year,publication,publisher,url"
 BUNDLED_CORPUS = pathlib.Path(__file__).parent.parent / "fixtures" / "ciencias_table7.json"
@@ -322,6 +322,41 @@ def _traced_load(tmp_path):
         tracemalloc.stop()
     assert len(corpus.articles) == 2400
     return text, corpus, retained, peak
+
+
+@pytest.mark.parametrize(
+    "content, says",
+    [
+        ("{", "corpus JSON does not parse: Expecting property name"),
+        (b"\xff", "corpus JSON is not UTF-8: 'utf-8' codec can't decode byte 0xff"),
+        # over the interpreter's digit limit where it has one, else not an object
+        ("[" + "1" * 5000 + "]", "corpus JSON "),
+    ],
+)
+def test_a_corpus_that_is_not_utf8_json_is_malformed(content, says):
+    with pytest.raises(MalformedCorpus) as info:
+        corpus_from_json(content)
+    assert str(info.value).startswith(says)
+
+
+def _outcome(load, content):
+    """What ``load(content)`` returns, or its error's class name and message."""
+    try:
+        return load(content)
+    except (MalformedCorpus, MalformedHeader) as error:
+        return f"{type(error).__name__}: {error}"
+
+
+@pytest.mark.parametrize("marks", [0, 1, 2])
+@pytest.mark.parametrize(
+    "load, text",
+    [(corpus_from_json, BUNDLED_CORPUS.read_text(encoding="utf-8")), (parse_registry, registry_csv())],
+)
+def test_one_byte_order_mark_is_skipped_from_bytes_and_from_text(load, text, marks):
+    text = "\ufeff" * marks + text
+    outcome = _outcome(load, text)
+    assert outcome == _outcome(load, text.encode("utf-8"))
+    assert isinstance(outcome, str) == (marks == 2)
 
 
 def test_loading_corpus_text_holds_no_parsed_copy(tmp_path):
