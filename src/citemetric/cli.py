@@ -75,35 +75,26 @@ def _type_error(message: str) -> Exception:
     return argparse.ArgumentTypeError(message)
 
 
-def _number(text: str, kind=float):
-    try:
-        return _ascii_number(text, kind)
-    except ValueError:
-        raise _type_error(f"not a number: {text!r}") from None
+def _bounded(kind, rule: str, holds):
+    """An argparse type: ``kind`` read by :func:`_ascii_number`, refused with
+    ``rule`` unless ``holds(value)``."""
+
+    def parse(text: str):
+        try:
+            value = _ascii_number(text, kind)
+        except ValueError:
+            raise _type_error(f"not a number: {text!r}") from None
+        if not holds(value):
+            raise _type_error(f"{rule}, got {text!r}")
+        return value
+
+    return parse
 
 
-def _title_threshold(text: str) -> float:
-    """argparse type for --title-threshold: a number in (0, 1]; NaN is refused."""
-    value = _number(text)
-    if not 0.0 < value <= 1.0:
-        raise _type_error(f"must lie in (0, 1], got {text!r}")
-    return value
-
-
-def _alpha(text: str) -> float:
-    """argparse type for --alpha: a number in (0, 1); NaN is refused."""
-    value = _number(text)
-    if not 0.0 < value < 1.0:
-        raise _type_error(f"must lie in (0, 1), got {text!r}")
-    return value
-
-
-def _top(text: str) -> int:
-    """argparse type for --top: a whole number of leading quartiles, at least 1."""
-    value = _number(text, int)
-    if value < 1:
-        raise _type_error(f"must be at least 1, got {text!r}")
-    return value
+# the types of --title-threshold, --alpha and --top
+_title_threshold = _bounded(float, "must lie in (0, 1]", lambda v: 0.0 < v <= 1.0)
+_alpha = _bounded(float, "must lie in (0, 1)", lambda v: 0.0 < v < 1.0)
+_top = _bounded(int, "must be at least 1", lambda v: v >= 1)
 
 
 def _write_atomic(path: str, data: bytes) -> None:

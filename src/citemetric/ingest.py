@@ -14,6 +14,7 @@ import io
 import json
 import re
 import unicodedata
+from collections import Counter
 from contextlib import contextmanager
 from enum import Enum
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Tuple
@@ -29,7 +30,7 @@ from .corpus import (
     Library,
     validate_corpus,
 )
-from .errors import BadCell, DomainError, DuplicateId, MalformedCorpus, MalformedHeader
+from .errors import BadCell, DomainError, MalformedCorpus
 
 REGISTRY_HEADER = "journal_id,title,area,ibnp_category,air_ibnp,wok,scopus,redalyc,scielo,gscholar"
 EXPORT_HEADER = "cites,authors,title,year,publication,publisher,url"
@@ -118,8 +119,14 @@ _LINE_BREAK = re.compile(r"\r\n?|\n")  # the line ends a csv reader counts
 
 def _read_rows(content, expected_header: str) -> list[Tuple[int, list[str]]]:
     """Parse CSV content into (line number, cells) pairs, enforcing the exact
-    header and the cell count of every row; cells are in header order."""
-    text = _decode(content)
+    header and the cell count of every row; cells are in header order.
+    Every fault is a :class:`BadCell` naming its line."""
+    try:
+        text = _decode(content)
+    except UnicodeDecodeError as error:
+        # the bytes before the first bad one decode, so their lines count
+        line = len(_LINE_BREAK.findall(content[: error.start].decode("utf-8"))) + 1
+        raise BadCell(line, "*", f"not UTF-8: {error}") from None
     # csv refuses a NUL before Python 3.11 and reads it as text after
     nul = text.find("\0")
     if nul >= 0:
@@ -127,12 +134,10 @@ def _read_rows(content, expected_header: str) -> list[Tuple[int, list[str]]]:
     reader = csv.reader(io.StringIO(text, newline=""))
     line_number = 1  # where the record being read starts
     try:
-        header_cells = next(reader, None)
-        if header_cells is None:
-            raise MalformedHeader(expected_header, "")
+        header_cells = next(reader, [])
         header = ",".join(cell.strip() for cell in header_cells)
         if header != expected_header:
-            raise MalformedHeader(expected_header, header)
+            raise BadCell(1, "*", f"expected header {expected_header!r}, got {header!r}")
         width = len(header_cells)
         out = []
         # a quoted cell may span lines, so a record starts one past the line
@@ -175,7 +180,7 @@ def parse_registry(content) -> list[JournalRecord]:
         if not journal_id:
             raise BadCell(line, "journal_id", "empty")
         if journal_id in seen:
-            raise DuplicateId(line, journal_id)
+            raise BadCell(line, "journal_id", f"duplicate {journal_id!r}")
         seen.add(journal_id)
         title = title.strip()
         if not title:
@@ -283,19 +288,15 @@ def title_similarity(a: str, b: str) -> float:
 
 
 def _edit_budget(length: int, threshold: float) -> int:
-    """Largest distance d with ``1.0 - d / length >= threshold``, by that float expression.
+    """Largest distance d with ``1.0 - d / length >= threshold``, by that float
+    expression, the test title_similarity applies; 0 for length 0.
 
-    Deriving it from ``(1 - threshold) * length`` alone is off by one where
-    rounding lands on the boundary (length 25 at 0.92, for one), so the
-    estimate is corrected against the exact test title_similarity applies.
+    ``int((1 - threshold) * length)`` is one short where rounding lands on the
+    boundary (length 25 at 0.92, for one), so d counts up from 0 instead.
     """
-    if length == 0:
-        return 0  # two empty titles: similarity 1.0, always similar
-    d = int((1.0 - threshold) * length)
+    d = 0
     while d < length and 1.0 - (d + 1) / length >= threshold:
         d += 1
-    while d > 0 and 1.0 - d / length < threshold:
-        d -= 1
     return d
 
 
@@ -384,7 +385,8 @@ def deduplicate(
         alias = AliasMap(alias)
 
     start, end = config.window
-    statuses: dict[int, ArticleStatus] = {}
+    statuses = [ArticleStatus.KEPT] * len(records)  # statuses[i] for records[i]
+    survivors: list[int] = []  # the complete rows
     decisions: list[DedupDecision] = []
     if lines is None:
         lines = range(2, len(records) + 2)
@@ -392,24 +394,12 @@ def deduplicate(
         raise DomainError(f"{len(records)} records but {len(lines)} line numbers")
 
     for i, record in enumerate(records):
-        incomplete = (
-            not record.title.strip()
-            or record.year is None
-            or not (start <= record.year <= end)
-        )
-        if incomplete:
-            statuses[i] = ArticleStatus.DROPPED_INCOMPLETE
-            decisions.append(
-                DedupDecision(
-                    kept_line=lines[i],
-                    dropped_lines=(lines[i],),
-                    rule=DedupRule.INCOMPLETE_FIELDS,
-                )
-            )
+        if record.title.strip() and record.year is not None and start <= record.year <= end:
+            survivors.append(i)
         else:
-            statuses[i] = ArticleStatus.KEPT
+            statuses[i] = ArticleStatus.DROPPED_INCOMPLETE
+            decisions.append(DedupDecision(lines[i], (lines[i],), DedupRule.INCOMPLETE_FIELDS))
 
-    survivors = [i for i in range(len(records)) if statuses[i] is ArticleStatus.KEPT]
     normalized = {i: normalize_title(records[i].title) for i in survivors}
 
     # A pair is similar when its distance is within the budget of the longer
@@ -511,10 +501,8 @@ def deduplicate(
                 DedupDecision(min(lines[i], lines[j]), (), DedupRule.CROSS_LANGUAGE_SUSPECT)
             )
 
-    restatused = [r._replace(status=statuses[i]) for i, r in enumerate(records)]
-    counts = {status: 0 for status in ArticleStatus}
-    for status in statuses.values():
-        counts[status] += 1
+    restatused = [r._replace(status=status) for r, status in zip(records, statuses)]
+    counts = Counter(statuses)
     report = IngestReport(
         rows_read=len(records),
         rows_kept=counts[ArticleStatus.KEPT] + counts[ArticleStatus.NEEDS_REVIEW],
@@ -555,15 +543,8 @@ def build_corpus(
 _LIBRARY_ORDER = list(Library)
 
 
-class _StatusTable(dict):
-    """Status value -> member; a plain lookup is several times cheaper than
-    calling ``ArticleStatus(value)`` once per article."""
-
-    def __missing__(self, value):
-        raise ValueError(f"{value!r} is not a valid ArticleStatus")
-
-
-_STATUS_BY_VALUE = _StatusTable((s.value, s) for s in ArticleStatus)
+# a plain lookup is several times cheaper than ArticleStatus(value) per article
+_STATUS_BY_VALUE = {s.value: s for s in ArticleStatus}
 
 
 @contextmanager
@@ -634,7 +615,8 @@ def _article(a, index, share) -> ArticleRecord:
         raise _scalar_fault(f"article {index}", "publisher", publisher, "str")
     if type(url) is not str:
         raise _scalar_fault(f"article {index}", "url", url, "str")
-    status = _STATUS_BY_VALUE[a["status"]]
+    # an unknown value gets the enum's own ValueError
+    status = _STATUS_BY_VALUE.get(a["status"]) or ArticleStatus(a["status"])
     journal_id, year = share(journal_id, journal_id), share(year, year)
     return tuple.__new__(
         ArticleRecord, (journal_id, title, year, cites, authors, publication, publisher, url, status)

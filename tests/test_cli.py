@@ -517,6 +517,27 @@ def test_deeply_nested_corpus_json_is_a_one_line_data_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_missing_records_dir_is_a_one_line_data_error(tmp_path, capsys):
+    registry, _records = write_fixture_tree(tmp_path)
+    missing = tmp_path / "no-records"
+    out = tmp_path / "corpus.json"
+    args = ["ingest", "--registry", str(registry), "--records-dir", str(missing)]
+    assert main(args + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"citemetric ingest: records directory not found: {missing}\n"
+    assert not out.exists()
+
+
+def test_out_naming_a_directory_leaves_it_and_no_temp_file(tmp_path, capsys):
+    out = tmp_path / "table.csv"
+    out.mkdir()
+    (out / "inside.txt").write_text("kept", encoding="utf-8")
+    assert main(["classify", "--corpus", str(BUNDLED_CORPUS), "--out", str(out)]) == 1
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["table.csv"]
+    assert [p.name for p in out.iterdir()] == ["inside.txt"]
+    assert (out / "inside.txt").read_text(encoding="utf-8") == "kept"
+
+
 def test_title_threshold_of_one_is_accepted(tmp_path):
     registry, records = write_fixture_tree(tmp_path)
     out = tmp_path / "corpus.json"
@@ -651,6 +672,16 @@ def _object_authors(doc):
     doc["articles"][3]["authors"] = {}
 
 
+def _empty_journal_id(doc):
+    # renamed everywhere, so the load itself succeeds and the invariant check refuses it
+    old = doc["journals"][0]["journal_id"]
+    doc["journals"][0]["journal_id"] = ""
+    doc["ibnp_totals"][""] = doc["ibnp_totals"].pop(old)
+    for article in doc["articles"]:
+        if article["journal_id"] == old:
+            article["journal_id"] = ""
+
+
 def _article_among_journals(doc):
     doc["journals"][0] = dict(doc["articles"][0])
 
@@ -704,6 +735,7 @@ def _not_utf8(doc):
         (_flagged_row_without_title, "row 0 (journal 'sci001'): flagged record with empty title"),
         (_negative_ibnp_total, "is invalid: journal 'sci001' has negative ibnp total"),
         (_object_authors, "articles: article 3: authors is dict, not str"),
+        (_empty_journal_id, "is invalid: journal with empty journal_id"),
         # the loader builds article records while it parses, so an article
         # where a journal or the document belongs is refused as one
         (_article_among_journals, "journals: "),

@@ -9,6 +9,7 @@ from citemetric.errors import DomainError
 from citemetric.ingest import (
     EXPORT_HEADER,
     DedupConfig,
+    DedupDecision,
     DedupRule,
     _banded_levenshtein,
     _edit_budget,
@@ -94,6 +95,24 @@ def test_alias_confirms_cross_language_duplicate():
     assert cleaned[0].status is ArticleStatus.KEPT
     assert cleaned[1].status is ArticleStatus.DROPPED_DUPLICATE
     assert report.rows_dropped_duplicate == 1
+
+
+def test_cross_language_pass_skips_a_row_an_alias_dropped():
+    """The alias drops row 3 against row 1, so row 2 is never paired with it."""
+    config = DedupConfig(window=(2003, 2007), alias_map={"Climate effect": "Efecto del clima"})
+    records = [
+        _record("Efecto del clima", cites=4),
+        _record("Efecto de la lluvia", cites=4),
+        _record("Climate effect", cites=4),
+    ]
+    cleaned, report = deduplicate(records, config)
+    assert [r.status for r in cleaned] == [
+        ArticleStatus.KEPT,
+        ArticleStatus.KEPT,
+        ArticleStatus.DROPPED_DUPLICATE,
+    ]
+    assert report.decisions == (DedupDecision(2, (4,), DedupRule.CROSS_LANGUAGE_SUSPECT),)
+    assert (cleaned, report) == deduplicate_reference(records, config)
 
 
 def test_shared_token_prevents_cross_language_flag():

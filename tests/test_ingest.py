@@ -13,7 +13,7 @@ from citemetric.corpus import (
     Library,
     validate_corpus,
 )
-from citemetric.errors import BadCell, DomainError, DuplicateId, MalformedCorpus, MalformedHeader
+from citemetric.errors import BadCell, DomainError, MalformedCorpus
 from citemetric.ingest import (
     REGISTRY_HEADER,
     DedupConfig,
@@ -53,16 +53,32 @@ def test_parse_registry_rejects_unknown_category():
 
 
 def test_parse_registry_rejects_bad_header():
-    with pytest.raises(MalformedHeader):
+    with pytest.raises(BadCell) as info:
         parse_registry("journal_id,title\nj1,Revista\n")
+    assert (info.value.line, info.value.column) == (1, "*")
 
 
 def test_parse_registry_rejects_duplicate_id():
     rows = [REGISTRY_HEADER]
     rows.append("j1,Revista Uno,Ciencias,B,10,0,0,0,0,1")
     rows.append("j1,Revista Dos,Ciencias,C,10,0,0,0,0,1")
-    with pytest.raises(DuplicateId):
+    with pytest.raises(BadCell) as info:
         parse_registry("\n".join(rows) + "\n")
+    assert (info.value.line, info.value.column) == (3, "journal_id")
+
+
+@pytest.mark.parametrize(
+    "parse",
+    [parse_registry, lambda content: parse_citation_export(content, "j1"), parse_alias_file],
+    ids=["registry", "export", "alias"],
+)
+@pytest.mark.parametrize("line", [1, 3])
+def test_bytes_that_are_not_utf8_are_a_bad_cell_on_their_line(parse, line):
+    content = b"header\r\n" * (line - 1) + b"caf\xe9\n"
+    with pytest.raises(BadCell) as info:
+        parse(content)
+    assert (info.value.line, info.value.column) == (line, "*")
+    assert info.value.reason.startswith("not UTF-8: 'utf-8' codec can't decode byte 0xe9")
 
 
 def test_parse_registry_rejects_bad_flag_and_negative_total():
@@ -343,7 +359,7 @@ def _outcome(load, content):
     """What ``load(content)`` returns, or its error's class name and message."""
     try:
         return load(content)
-    except (MalformedCorpus, MalformedHeader) as error:
+    except (MalformedCorpus, BadCell) as error:
         return f"{type(error).__name__}: {error}"
 
 

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.stats import studentized_range
+from scipy.stats import linregress, studentized_range
 
 from citemetric.errors import DomainError
 from citemetric.statkit import (
@@ -240,6 +240,22 @@ def test_ols_vif_at_least_one_and_high_for_collinear():
     near = [a + 1e-8 * b for a, b in zip(x1, x2)]
     inflated = ols_fit(y, [x1, near])
     assert max(inflated.vif) > 100
+
+
+def test_ols_with_one_predictor_matches_linregress():
+    rng = random.Random(4)
+    n = 25
+    x = [rng.uniform(0, 5) for _ in range(n)]
+    y = [0.3 + 0.4 * v + rng.gauss(0, 1) for v in x]
+    result = ols_fit(y, [x])
+    assert result.vif == (1.0,)
+    ybar = sum(y) / n
+    tss = sum((v - ybar) ** 2 for v in y)
+    assert result.sequential_ss[0] + result.residual_ss == pytest.approx(tss, rel=1e-9)
+    expected = linregress(x, y)
+    assert result.coefficients == pytest.approx((expected.intercept, expected.slope), rel=1e-9)
+    # with one predictor the F test is the slope's t test
+    assert result.f_p_value == pytest.approx(expected.pvalue, rel=1e-6)
 
 
 def test_ols_rank_deficient_design_raises():
