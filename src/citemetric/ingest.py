@@ -28,6 +28,7 @@ from .corpus import (
     JournalCorpus,
     JournalRecord,
     Library,
+    VISIBLE_STATUSES,
     validate_corpus,
 )
 from .errors import BadCell, DomainError, MalformedCorpus
@@ -478,7 +479,7 @@ def deduplicate(
         if statuses[i] is not ArticleStatus.KEPT:
             continue
         for j in buckets[(records[i].year, records[i].cites)][later[i] :]:
-            if statuses[j] not in (ArticleStatus.KEPT, ArticleStatus.NEEDS_REVIEW):
+            if statuses[j] not in VISIBLE_STATUSES:
                 continue
             tokens_a, tokens_b = tokens[i], tokens[j]
             if not tokens_a or not tokens_b or tokens_a & tokens_b:
@@ -505,7 +506,7 @@ def deduplicate(
     counts = Counter(statuses)
     report = IngestReport(
         rows_read=len(records),
-        rows_kept=counts[ArticleStatus.KEPT] + counts[ArticleStatus.NEEDS_REVIEW],
+        rows_kept=sum(counts[status] for status in VISIBLE_STATUSES),
         rows_dropped_incomplete=counts[ArticleStatus.DROPPED_INCOMPLETE],
         rows_dropped_duplicate=counts[ArticleStatus.DROPPED_DUPLICATE],
         rows_flagged_review=counts[ArticleStatus.NEEDS_REVIEW],

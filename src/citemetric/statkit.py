@@ -1,13 +1,16 @@
 """Numerical-statistics kernel.
 
 Mid-ranks, rank correlation, tail probabilities from first principles
-(continued fractions and series), least squares with sequential sums of
-squares, one-way tests, post-hoc letter displays, and unrotated principal
-components over a correlation matrix (``numpy.linalg.eigh``). Both one-way
-tests give statistic 0 and p = 1 when the data carry no between-group signal
-(equal group means, or every observation tied). Everything is pure and
-deterministic; accumulations use ``math.fsum``, which is correctly rounded,
-so sums do not depend on input order at all.
+(series, and continued fractions that share one modified-Lentz step,
+``_lentz_step``), least squares with sequential sums of squares, one-way
+tests, post-hoc letter displays, and unrotated principal components over a
+correlation matrix (``numpy.linalg.eigh``). ``anova_oneway`` and ``ols_fit``
+share one F test (``_f_test``); ``anova_oneway`` and ``tukey_groups`` share
+one within-group pass (``_within_groups``). Both one-way tests give statistic
+0 and p = 1 when the data carry no between-group signal (equal group means,
+or every observation tied). Everything is pure and deterministic;
+accumulations use ``math.fsum``, which is correctly rounded, so sums do not
+depend on input order at all.
 
 numpy is imported inside ``ols_fit`` and ``pca_unrotated``, its only users, so
 importing this module does not pay numpy's import time. Of the CLI commands,
@@ -21,6 +24,7 @@ named tuple costs a fraction of a dataclass to define at import time.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from enum import Enum
 from typing import NamedTuple, Optional, Sequence, Tuple
 
@@ -113,38 +117,31 @@ def mid_ranks(values: Sequence[float]) -> list[float]:
 # --- special functions ------------------------------------------------------
 
 
+def _clamp(v: float) -> float:
+    return _TINY if abs(v) < _TINY else v
+
+
+def _lentz_step(an: float, bn: float, c: float, d: float, h: float) -> Tuple[float, ...]:
+    # one term an / (bn + ...) of a modified-Lentz continued fraction: the new
+    # c, d and convergent h, and the factor d * c, which tends to 1
+    d = 1.0 / _clamp(bn + an * d)
+    c = _clamp(bn + an / c)
+    delta = d * c
+    return c, d, h * delta, delta
+
+
 def _beta_cf(a: float, b: float, x: float) -> float:
-    # modified Lentz continued fraction, Numerical-Recipes style
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
     c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _TINY:
-        d = _TINY
-    d = 1.0 / d
-    h = d
+    d = h = 1.0 / _clamp(1.0 - qab * x / qap)
     for m in range(1, _MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        even = m * (b - m) * x / ((qam + m2) * (a + m2))
+        c, d, h, _ = _lentz_step(even, 1.0, c, d, h)
+        odd = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        c, d, h, delta = _lentz_step(odd, 1.0, c, d, h)
         if abs(delta - 1.0) < _EPS:
             return h
     raise DomainError(f"incomplete beta failed to converge for a={a}, b={b}, x={x}")
@@ -181,29 +178,19 @@ def _gamma_series_lower(s: float, x: float) -> float:
         term *= x / k
         total += term
         if abs(term) < abs(total) * _EPS:
-            return total * math.exp(-x + s * math.log(x) - math.lgamma(s))
+            return total
     raise DomainError(f"incomplete gamma series failed for s={s}, x={x}")
 
 
 def _gamma_cf_upper(s: float, x: float) -> float:
     b = x + 1.0 - s
     c = 1.0 / _TINY
-    d = 1.0 / b if abs(b) > _TINY else 1.0 / _TINY
-    h = d
+    d = h = 1.0 / _clamp(b)  # b is 0 only where x + 1 rounds to s, for s near 2**53 and up
     for i in range(1, _MAX_ITER + 1):
-        an = -i * (i - s)
         b += 2.0
-        d = an * d + b
-        if abs(d) < _TINY:
-            d = _TINY
-        c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        c, d, h, delta = _lentz_step(-i * (i - s), b, c, d, h)
         if abs(delta - 1.0) < _EPS:
-            return h * math.exp(-x + s * math.log(x) - math.lgamma(s))
+            return h
     raise DomainError(f"incomplete gamma fraction failed for s={s}, x={x}")
 
 
@@ -214,9 +201,10 @@ def regularized_gamma_upper(s: float, x: float) -> float:
         raise DomainError("x must be non-negative")
     if x == 0.0:
         return 1.0
-    if x < s + 1.0:
-        return 1.0 - _gamma_series_lower(s, x)
-    return _gamma_cf_upper(s, x)
+    lower = x < s + 1.0
+    part = (_gamma_series_lower if lower else _gamma_cf_upper)(s, x)
+    part *= math.exp(-x + s * math.log(x) - math.lgamma(s))
+    return 1.0 - part if lower else part
 
 
 def student_t_tail(x: float, df: float) -> float:
@@ -317,16 +305,7 @@ def ols_fit(y: Sequence[float], predictors: Sequence[Sequence[float]]) -> Regres
     else:
         r2 = 0.0
     r2_adj = 1.0 - (1.0 - r2) * (n - 1) / (n - p - 1)
-    ssr = max(tss - rss, 0.0)
-    mse = rss / (n - p - 1)
-    msr = ssr / p
-    if msr == 0.0:
-        f_stat, f_p = 0.0, 1.0
-    elif mse == 0.0:
-        f_stat, f_p = math.inf, 0.0
-    else:
-        f_stat = msr / mse
-        f_p = f_tail(f_stat, p, n - p - 1)
+    f_stat, f_p = _f_test(max(tss - rss, 0.0), p, rss, n - p - 1)
 
     if p == 1:
         vif = (1.0,)
@@ -370,22 +349,32 @@ def _check_groups(groups: Sequence[Sequence[float]]) -> int:
     return n
 
 
+def _within_groups(groups: Sequence[Sequence[float]]) -> Tuple[int, list[float], float]:
+    # n, the group means and the within-group sum of squares
+    n = _check_groups(groups)
+    means = [_mean(g) for g in groups]
+    ssw = math.fsum(math.fsum((v - m) ** 2 for v in g) for g, m in zip(groups, means))
+    return n, means, ssw
+
+
+def _f_test(ss1: float, df1: float, ss2: float, df2: float) -> Tuple[float, float]:
+    # F = 0, p = 1 when the first mean square is 0; F = inf, p = 0 when only
+    # the second is (f_tail is 0 at infinity)
+    ms1, ms2 = ss1 / df1, ss2 / df2
+    if ms1 == 0.0:
+        return 0.0, 1.0
+    f = ms1 / ms2 if ms2 else math.inf
+    return f, f_tail(f, df1, df2)
+
+
 def anova_oneway(groups: Sequence[Sequence[float]]) -> TestResult:
     """Classic one-way F test; F = 0, p = 1 when every group has the same mean."""
-    n = _check_groups(groups)
+    n, means, ssw = _within_groups(groups)
     k = len(groups)
-    means = [_mean(g) for g in groups]
     grand = math.fsum(math.fsum(g) for g in groups) / n
     ssb = math.fsum(len(g) * (m - grand) ** 2 for g, m in zip(groups, means))
-    ssw = math.fsum(math.fsum((v - m) ** 2 for v in g) for g, m in zip(groups, means))
     df1, df2 = k - 1, n - k
-    if ssb <= 0.0:
-        f_stat, p = 0.0, 1.0
-    elif ssw <= 0.0:
-        f_stat, p = math.inf, 0.0
-    else:
-        f_stat = (ssb / df1) / (ssw / df2)
-        p = f_tail(f_stat, df1, df2)
+    f_stat, p = _f_test(ssb, df1, ssw, df2)
     return TestResult(
         method=StatMethod.ANOVA_F, statistic=f_stat, df1=df1, df2=df2, p_value=p, n=n
     )
@@ -409,10 +398,7 @@ def kruskal_wallis(groups: Sequence[Sequence[float]]) -> TestResult:
         offset += len(g)
     h = 12.0 / (n * (n + 1)) * h - 3.0 * (n + 1)
 
-    tie_counts: dict[float, int] = {}
-    for v in pooled:
-        tie_counts[v] = tie_counts.get(v, 0) + 1
-    correction = 1.0 - sum(t**3 - t for t in tie_counts.values()) / (n**3 - n)
+    correction = 1.0 - sum(t**3 - t for t in Counter(pooled).values()) / (n**3 - n)
     h = 0.0 if correction == 0.0 else max(h / correction, 0.0)
     return TestResult(
         method=StatMethod.KRUSKAL_WALLIS_H,
@@ -488,10 +474,8 @@ def tukey_groups(groups: Sequence[Sequence[float]], alpha: float = 0.05) -> Tupl
     The letter `a` goes to the highest-mean block, matching the usual
     reporting convention for these tables.
     """
-    n = _check_groups(groups)
+    n, means, ssw = _within_groups(groups)
     k = len(groups)
-    means = [_mean(g) for g in groups]
-    ssw = math.fsum(math.fsum((v - m) ** 2 for v in g) for g, m in zip(groups, means))
     df_within = n - k
     msw = ssw / df_within
     q = studentized_range_q(k, df_within, alpha)
@@ -509,7 +493,7 @@ def tukey_groups(groups: Sequence[Sequence[float]], alpha: float = 0.05) -> Tupl
     for letter_index, col in enumerate(columns):
         for i in col:
             letters[i] += chr(ord("a") + letter_index)
-    return tuple("".join(sorted(s)) for s in letters)
+    return tuple(letters)  # each string is built in letter order
 
 
 # --- principal components ---------------------------------------------------
@@ -543,7 +527,7 @@ def pca_unrotated(data) -> FactorResult:
     first = vectors[:, order[0]]
     lead = math.sqrt(max(eigenvalues[0], 0.0))
     loadings = [float(v * lead) for v in first]
-    if loadings and loadings[max(range(p), key=lambda i: abs(loadings[i]))] < 0:
+    if loadings[max(range(p), key=lambda i: abs(loadings[i]))] < 0:
         loadings = [-v for v in loadings]
     return FactorResult(
         eigenvalues=tuple(eigenvalues),

@@ -95,6 +95,24 @@ def test_compare_single_category_corpus_has_no_groups():
         compare_groups(make_pairs(specs), Area.CIENCIAS, GroupDimension.BY_CATEGORY)
 
 
+def test_compare_refuses_an_unknown_method():
+    pairs = corpus_indicator_sets(build_fixture_corpus())
+    with pytest.raises(DomainError, match="unknown method 'x'; use 'anova' or 'kw'"):
+        compare_groups(pairs, Area.CIENCIAS, GroupDimension.BY_CATEGORY, method="x")
+
+
+def test_compare_refuses_a_variable_defined_in_one_group():
+    # no registry production leaves ca_mean undefined for every C journal
+    specs = [
+        (f"{category.value.lower()}{i}", category, {Library.GOOGLE_SCHOLAR}, air, [i + 1])
+        for category, air in ((IbnpCategory.B, 100), (IbnpCategory.C, 0))
+        for i in range(3)
+    ]
+    pairs = make_pairs(specs)
+    with pytest.raises(DomainError, match="'ca_mean' is defined in fewer than two groups"):
+        compare_groups(pairs, Area.CIENCIAS, GroupDimension.BY_CATEGORY, variables=["ca_mean"])
+
+
 def _category_separation_pairs():
     # log10 citation levels around 5.0, 4.99, 3.0, 2.99 with a +-0.045 spread
     specs = []
@@ -328,6 +346,12 @@ def test_citation_regression_constant_response_has_zero_slopes():
     result = citation_regression(make_pairs(specs), response="h")
     assert result.coefficients[1] == pytest.approx(0.0, abs=1e-9)
     assert result.coefficients[2] == pytest.approx(0.0, abs=1e-9)
+
+
+def test_citation_regression_refuses_an_unknown_response():
+    pairs = corpus_indicator_sets(build_fixture_corpus())
+    with pytest.raises(DomainError, match="unknown response 'x'; use 'logcr' or 'h'"):
+        citation_regression(pairs, "x")
 
 
 def test_citation_regression_needs_five_journals():

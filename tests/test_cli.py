@@ -288,6 +288,16 @@ def test_missing_corpus_file_is_a_data_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_classify_on_an_area_without_journals_is_a_one_line_data_error(tmp_path, capsys):
+    # the bundled fixture holds only ciencias journals, so the sociales ranking is empty
+    out = tmp_path / "table.csv"
+    argv = ["classify", "--corpus", str(BUNDLED_CORPUS), "--area", "sociales", "--out", str(out)]
+    assert main(argv) == 1
+    says = "cannot derive quartile bounds from an empty ranking"
+    assert capsys.readouterr().err == f"citemetric classify: {says}\n"
+    assert not out.exists()
+
+
 def test_bad_window_is_a_data_error(tmp_path, capsys):
     registry, records = write_fixture_tree(tmp_path)
     code = main(
@@ -334,6 +344,7 @@ def test_alpha_and_top_out_of_range_exit_with_usage_error(tmp_path, capsys):
         ("compare", ",", "need at least one variable"),
         ("compare", "h,cr_ga_log10,h", "variable 'h' is listed more than once"),
         ("correlate", "h,h", "variable 'h' is listed more than once"),
+        ("correlate", "h", "need at least two variables"),
     ],
 )
 def test_empty_or_repeated_vars_is_a_one_line_data_error(
@@ -416,6 +427,30 @@ def _nul_in_registry_title(registry, records, alias):
     return registry
 
 
+def _first_journal_row(registry, edit):
+    # line 2 of the registry; no fixture title holds a comma or a quote
+    lines = registry.read_text(encoding="utf-8").split("\n")
+    lines[1] = ",".join(edit(lines[1].split(",")))
+    registry.write_text("\n".join(lines), encoding="utf-8")
+    return registry
+
+
+def _registry_row_of_nine_cells(registry, records, alias):
+    return _first_journal_row(registry, lambda cells: cells[:9])
+
+
+def _blank_registry_journal_id(registry, records, alias):
+    return _first_journal_row(registry, lambda cells: [" ", *cells[1:]])
+
+
+def _blank_registry_title(registry, records, alias):
+    return _first_journal_row(registry, lambda cells: [cells[0], "", *cells[2:]])
+
+
+def _unknown_registry_area(registry, records, alias):
+    return _first_journal_row(registry, lambda cells: [*cells[:2], "Biologia", *cells[3:]])
+
+
 def _nul_in_export_authors(registry, records, alias):
     export = sorted(records.glob("*.csv"))[0]
     lines = export.read_text(encoding="utf-8").split("\n")
@@ -449,6 +484,10 @@ def _export_cell_over_the_csv_field_limit(registry, records, alias):
     "damage, says",
     [
         (_nul_in_registry_title, "line 3, column '*': contains a NUL byte"),
+        (_registry_row_of_nine_cells, "line 2, column '*': expected 10 cells, found 9"),
+        (_blank_registry_journal_id, "line 2, column 'journal_id': empty"),
+        (_blank_registry_title, "line 2, column 'title': empty"),
+        (_unknown_registry_area, "line 2, column 'area': unknown area 'Biologia'"),
         (_nul_in_export_authors, "line 4, column '*': contains a NUL byte"),
         (_nul_in_alias, "line 4, column '*': contains a NUL byte"),
         (_export_cell_over_the_csv_field_limit, "line 4, column '*': field larger than"),
@@ -668,6 +707,10 @@ def _negative_ibnp_total(doc):
     doc["ibnp_totals"]["sci001"] = -5
 
 
+def _blank_journal_title(doc):
+    doc["journals"][0]["title"] = "   "
+
+
 def _object_authors(doc):
     doc["articles"][3]["authors"] = {}
 
@@ -734,6 +777,7 @@ def _not_utf8(doc):
         (_flagged_row_without_year, "row 0 (journal 'sci001'): flagged record with year outside"),
         (_flagged_row_without_title, "row 0 (journal 'sci001'): flagged record with empty title"),
         (_negative_ibnp_total, "is invalid: journal 'sci001' has negative ibnp total"),
+        (_blank_journal_title, "corpus JSON is invalid: journal 'sci001' has empty title"),
         (_object_authors, "articles: article 3: authors is dict, not str"),
         (_empty_journal_id, "is invalid: journal with empty journal_id"),
         # the loader builds article records while it parses, so an article

@@ -68,6 +68,22 @@ def test_parse_registry_rejects_duplicate_id():
 
 
 @pytest.mark.parametrize(
+    "row, column, reason",
+    [
+        ("j1,Revista,Ciencias,B,10,0,0,0,0", "*", "expected 10 cells, found 9"),
+        (" ,Revista,Ciencias,B,10,0,0,0,0,1", "journal_id", "empty"),
+        ("j1, ,Ciencias,B,10,0,0,0,0,1", "title", "empty"),
+        ("j1,Revista,Biologia,B,10,0,0,0,0,1", "area", "unknown area 'Biologia'"),
+    ],
+)
+def test_a_bad_registry_row_is_a_bad_cell_on_its_line(row, column, reason):
+    with pytest.raises(BadCell) as info:
+        parse_registry(f"{REGISTRY_HEADER}\n{row}\n")
+    assert (info.value.line, info.value.column, info.value.reason) == (2, column, reason)
+    assert str(info.value) == f"line 2, column {column!r}: {reason}"
+
+
+@pytest.mark.parametrize(
     "parse",
     [parse_registry, lambda content: parse_citation_export(content, "j1"), parse_alias_file],
     ids=["registry", "export", "alias"],

@@ -16,6 +16,8 @@ from citemetric.statkit import (
     mid_ranks,
     ols_fit,
     pca_unrotated,
+    regularized_gamma_upper,
+    regularized_incomplete_beta,
     spearman,
     student_t_tail,
     studentized_range_q,
@@ -159,6 +161,51 @@ def test_tails_match_scipy():
     assert student_t_tail(1.7, 13) == pytest.approx(stats.t.sf(1.7, 13), abs=1e-12)
     assert f_tail(2.6, 3, 40) == pytest.approx(stats.f.sf(2.6, 3, 40), abs=1e-12)
     assert chi_square_tail(11.3, 5) == pytest.approx(stats.chi2.sf(11.3, 5), abs=1e-12)
+
+
+# the literals are the values' reprs, one per branch of the special functions
+# and the one-way tests; ols_fit is left out because its bits follow the BLAS
+PINNED_BITS = [
+    # x below (a + 1) / (a + b + 2): the fraction runs on (a, b, x)
+    (regularized_incomplete_beta, (2.5, 4.0, 0.2), 0.1638590613911841),
+    # x above it: the fraction runs on (b, a, 1 - x)
+    (regularized_incomplete_beta, (2.5, 4.0, 0.7), 0.9514994588636263),
+    # x below s + 1: the lower series
+    (regularized_gamma_upper, (3.0, 1.5), 0.8088468305380582),
+    # x at or above s + 1: the upper fraction
+    (regularized_gamma_upper, (3.0, 7.5), 0.020256715056664397),
+    (student_t_tail, (1.7, 13), 0.05645789531486982),
+    (student_t_tail, (-0.4, 5), 0.6471634425834427),
+    (f_tail, (2.6, 3, 40), 0.0654190969374262),
+    (chi_square_tail, (11.3, 5), 0.04574583257311161),
+]
+
+
+@pytest.mark.parametrize("function,args,expected", PINNED_BITS)
+def test_special_functions_keep_their_bits(function, args, expected):
+    assert repr(function(*args)) == repr(expected)
+
+
+@pytest.mark.parametrize(
+    "test,groups,statistic,p_value",
+    [
+        (
+            anova_oneway,
+            [[4.1, 5.3, 6.0, 5.5], [7.2, 8.1, 6.9], [5.0, 4.4, 5.9, 6.1, 4.8]],
+            9.781561889083235,
+            0.00553306323942501,
+        ),
+        (
+            kruskal_wallis,
+            [[1, 3, 3, 7], [2, 5, 8, 8, 9], [3, 4, 6]],
+            2.7245551601423466,
+            0.25607687667514223,
+        ),
+    ],
+)
+def test_one_way_tests_keep_their_bits(test, groups, statistic, p_value):
+    result = test(groups)
+    assert (repr(result.statistic), repr(result.p_value)) == (repr(statistic), repr(p_value))
 
 
 # --- least squares ----------------------------------------------------------------
