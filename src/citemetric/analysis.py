@@ -4,8 +4,8 @@ citation factor analysis, and the two citation regressions.
 Each analysis takes one knowledge area's ``(JournalRecord, IndicatorSet)``
 pairs, as :func:`citemetric.indicators.corpus_indicator_sets` returns them
 for a corpus restricted with :func:`citemetric.corpus.filter_by_area`, and
-reads indicator values through a named-variable registry so callers can pick
-columns by name.
+reads indicator values through the named variables of
+:data:`citemetric.indicators.VARIABLES` so callers can pick columns by name.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Tuple
 from .corpus import Area, IbnpCategory, JournalRecord, Library, filter_by_area
 from .errors import DomainError
 from .indicators import (
+    VARIABLES,
     GroupSummary,
     IndicatorSet,
     corpus_indicator_sets,
-    log10_shifted,
     summarize_group,
 )
 from .statkit import (
@@ -42,22 +42,6 @@ class GroupDimension(str, Enum):
     BY_LIBRARY = "library"
     BY_CATEGORY = "category"
 
-
-def _optional(value) -> Optional[float]:
-    return None if value is None else float(value)
-
-
-#: named per-journal variables; extractors return None where undefined
-VARIABLES: Mapping[str, Callable[[IndicatorSet], Optional[float]]] = {
-    "air_ibnp_log10": lambda s: log10_shifted(s.air_ibnp, "articles") if s.air_ibnp > 0 else None,
-    "air_ga_log10": lambda s: log10_shifted(s.air_ga, "articles") if s.air_ga > 0 else None,
-    "pi_ibnp": lambda s: float(s.pi_ibnp),
-    "pi_ld": lambda s: float(s.pi_ld),
-    "cr_ga_log10": lambda s: log10_shifted(s.cr_ga, "citations"),
-    "ca_mean": lambda s: _optional(s.ca_mean),
-    "ratio_ba": lambda s: _optional(s.visibility_ratio),
-    "h": lambda s: float(s.h),
-}
 
 #: the size / indexation / citation columns the comparison tables report
 DEFAULT_COMPARE_VARIABLES = ("air_ibnp_log10", "ratio_ba", "pi_ld", "cr_ga_log10", "ca_mean")

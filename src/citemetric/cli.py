@@ -126,7 +126,8 @@ def _reading(path):
 
 
 def _area_pairs(args, mean_mode: str = "ratios"):
-    """Load --corpus, keep --area's journals if one is given, and compute indicators."""
+    """Load --corpus, keep --area's journals if one is given, and compute
+    indicators. An --area without a journal in the corpus is a data error."""
     from . import indicators
 
     with _reading(args.corpus):
@@ -135,6 +136,8 @@ def _area_pairs(args, mean_mode: str = "ratios"):
         corpus = ingest.corpus_from_json(Path(args.corpus).read_bytes().decode("utf-8"))
     if args.area:
         corpus = filter_by_area(corpus, _AREAS[args.area])
+        if not corpus.journals:
+            raise DomainError(f"the corpus holds no journal of area {args.area!r}")
     return indicators.corpus_indicator_sets(corpus, mean_mode=mean_mode)
 
 

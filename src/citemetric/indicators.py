@@ -7,7 +7,7 @@ dividing by zero; undefined values serialize as empty cells, never NaN.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .corpus import (
     VISIBLE_STATUSES,
@@ -90,19 +90,6 @@ def pi_ibnp(category: IbnpCategory) -> int:
     return CATEGORY_SCORES[category]
 
 
-def log10_shifted(x: float, kind: str = "citations") -> float:
-    """log10 transform: citation series get a +1 shift, article counts do not."""
-    if kind == "citations":
-        if x < 0:
-            raise DomainError("citation counts cannot be negative")
-        return math.log10(x + 1.0)
-    if kind == "articles":
-        if x <= 0:
-            raise DomainError("article counts must be positive for the log transform")
-        return math.log10(x)
-    raise DomainError(f"unknown transform kind {kind!r}")
-
-
 def compute_indicator_set(
     journal: JournalRecord, records: Sequence[ArticleRecord]
 ) -> IndicatorSet:
@@ -151,7 +138,27 @@ def cpn(indicator_set: IndicatorSet, area_mean: float) -> float:
     return indicator_set.ca_mean / area_mean
 
 
-def _mean_sd(values: Sequence[float]) -> tuple[Optional[float], Optional[float]]:
+def _log10_count(n: int) -> Optional[float]:
+    return math.log10(n) if n > 0 else None
+
+
+#: named per-journal variables; extractors return None where undefined. An
+#: article count without articles has no log; citations take a +1 shift
+VARIABLES: Mapping[str, Callable[[IndicatorSet], Optional[float]]] = {
+    "air_ibnp_log10": lambda s: _log10_count(s.air_ibnp),
+    "air_ga_log10": lambda s: _log10_count(s.air_ga),
+    "pi_ibnp": lambda s: float(s.pi_ibnp),
+    "pi_ld": lambda s: float(s.pi_ld),
+    "cr_ga_log10": lambda s: math.log10(s.cr_ga + 1.0),
+    "ca_mean": lambda s: s.ca_mean,
+    "ratio_ba": lambda s: s.visibility_ratio,
+    "h": lambda s: float(s.h),
+}
+
+
+def _mean_sd(sets: Sequence[IndicatorSet], name: str) -> tuple[Optional[float], Optional[float]]:
+    """Mean and sample SD of one variable over the journals where it is defined."""
+    values = [v for v in map(VARIABLES[name], sets) if v is not None]
     if not values:
         return None, None
     mean = math.fsum(values) / len(values)
@@ -165,14 +172,9 @@ def summarize_group(sets: Sequence[IndicatorSet], label: str) -> GroupSummary:
     """Totals and per-journal means for one library or category group."""
     if not sets:
         raise DomainError(f"group {label!r} is empty")
-    log_cr = [log10_shifted(s.cr_ga, "citations") for s in sets]
-    ca = [s.ca_mean for s in sets if s.ca_mean is not None]
-    ratio = [s.visibility_ratio for s in sets if s.visibility_ratio is not None]
-    log_air = [log10_shifted(s.air_ibnp, "articles") for s in sets if s.air_ibnp > 0]
-    mean_log_cr, sd_log_cr = _mean_sd(log_cr)
-    mean_ca, sd_ca = _mean_sd(ca)
-    mean_ratio, sd_ratio = _mean_sd(ratio)
-    mean_log_air, _ = _mean_sd(log_air)
+    mean_log_cr, sd_log_cr = _mean_sd(sets, "cr_ga_log10")
+    mean_ca, sd_ca = _mean_sd(sets, "ca_mean")
+    mean_ratio, sd_ratio = _mean_sd(sets, "ratio_ba")
     return GroupSummary(
         label=label,
         n_journals=len(sets),
@@ -185,8 +187,8 @@ def summarize_group(sets: Sequence[IndicatorSet], label: str) -> GroupSummary:
         sd_ca=sd_ca,
         mean_ratio_ba=mean_ratio,
         sd_ratio_ba=sd_ratio,
-        mean_log10_air=mean_log_air,
-        mean_pi_ld=math.fsum(float(s.pi_ld) for s in sets) / len(sets),
+        mean_log10_air=_mean_sd(sets, "air_ibnp_log10")[0],
+        mean_pi_ld=_mean_sd(sets, "pi_ld")[0],
     )
 
 

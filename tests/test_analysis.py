@@ -8,7 +8,6 @@ from citemetric import statkit
 from citemetric.analysis import (
     DEFAULT_COMPARE_VARIABLES,
     FACTOR_VARIABLES,
-    VARIABLES,
     ComparisonTable,
     CorrelationMatrix,
     GroupDimension,
@@ -33,7 +32,7 @@ from citemetric.corpus import (
     filter_by_area,
 )
 from citemetric.errors import DomainError
-from citemetric.indicators import GroupSummary, corpus_indicator_sets, summarize_group
+from citemetric.indicators import VARIABLES, GroupSummary, corpus_indicator_sets, summarize_group
 from citemetric.ingest import corpus_from_json
 from citemetric.statkit import (
     FactorResult,

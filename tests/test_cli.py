@@ -293,8 +293,30 @@ def test_classify_on_an_area_without_journals_is_a_one_line_data_error(tmp_path,
     out = tmp_path / "table.csv"
     argv = ["classify", "--corpus", str(BUNDLED_CORPUS), "--area", "sociales", "--out", str(out)]
     assert main(argv) == 1
-    says = "cannot derive quartile bounds from an empty ranking"
+    says = "the corpus holds no journal of area 'sociales'"
     assert capsys.readouterr().err == f"citemetric classify: {says}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("indicators", []),
+        ("compare", ["--by", "category"]),
+        ("correlate", ["--vars", "h,ca_mean"]),
+        ("factor", []),
+        ("regress", []),
+        ("classify", ["--quartile-mode", "fixed"]),
+    ],
+)
+def test_an_area_the_corpus_does_not_hold_is_a_one_line_data_error(
+    tmp_path, capsys, command, extra
+):
+    out = tmp_path / "out"
+    argv = [command, "--corpus", str(BUNDLED_CORPUS), "--area", "sociales", *extra]
+    assert main([*argv, "--out", str(out)]) == 1
+    says = "the corpus holds no journal of area 'sociales'"
+    assert capsys.readouterr().err == f"citemetric {command}: {says}\n"
     assert not out.exists()
 
 

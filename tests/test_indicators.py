@@ -18,6 +18,7 @@ from citemetric.corpus import (
 from citemetric.errors import DomainError
 from citemetric.indicators import (
     INDICATOR_CSV_HEADER,
+    VARIABLES,
     IndicatorSet,
     area_mean_citation,
     compute_indicator_set,
@@ -26,7 +27,6 @@ from citemetric.indicators import (
     csv_record,
     h_index,
     indicators_csv,
-    log10_shifted,
     pi_ibnp,
     pi_ld,
     summarize_group,
@@ -126,19 +126,18 @@ def test_pi_ibnp_scores():
 # --- log transform -------------------------------------------------------------
 
 
-def test_log10_shifted_citation_mode():
-    assert log10_shifted(0, "citations") == 0.0
-    assert log10_shifted(99, "citations") == pytest.approx(2.0, abs=1e-15)
+def test_cr_ga_log10_shifts_citations_by_one():
+    assert VARIABLES["cr_ga_log10"](_set(cr_ga=0)) == 0.0
+    assert VARIABLES["cr_ga_log10"](_set(cr_ga=99)) == pytest.approx(2.0, abs=1e-15)
 
 
-def test_log10_shifted_article_mode():
-    assert log10_shifted(100, "articles") == pytest.approx(2.0, abs=1e-15)
-    with pytest.raises(DomainError):
-        log10_shifted(0, "articles")
+def test_air_ibnp_log10_is_undefined_without_registry_articles():
+    assert VARIABLES["air_ibnp_log10"](_set(air_ibnp=100)) == pytest.approx(2.0, abs=1e-15)
+    assert VARIABLES["air_ibnp_log10"](_set(air_ibnp=0)) is None
 
 
-def test_log10_shifted_citation_mode_is_monotone_from_zero():
-    values = [log10_shifted(x, "citations") for x in range(0, 50)]
+def test_cr_ga_log10_is_monotone_from_zero():
+    values = [VARIABLES["cr_ga_log10"](_set(cr_ga=x)) for x in range(0, 50)]
     assert values[0] == 0.0
     assert all(b >= a for a, b in zip(values, values[1:]))
 
@@ -317,6 +316,40 @@ def test_summarize_group_is_bit_identical_under_shuffled_input():
     for _ in range(5):
         rng.shuffle(sets)
         assert summarize_group(sets, "A1") == summary
+
+
+# the literals are the summaries' reprs: each category of the bundled fixture,
+# where every journal has registry production 100
+PINNED_SUMMARIES = {
+    "A1": "GroupSummary(label='A1', n_journals=3, total_articles=300, total_articles_ga=22, total_cites=793, mean_log10_cr=2.4007934522233834, sd_log10_cr=0.1797842175676994, mean_ca=2.643333333333333, sd_ca=0.9767462993701759, mean_ratio_ba=0.07333333333333333, sd_ratio_ba=0.015275252316519465, mean_log10_air=2.0, mean_pi_ld=44.333333333333336)",
+    "A2": "GroupSummary(label='A2', n_journals=17, total_articles=1700, total_articles_ga=102, total_cites=4783, mean_log10_cr=2.2698532942194114, sd_log10_cr=0.39677013115155557, mean_ca=2.813529411764706, sd_ca=2.9239676408445225, mean_ratio_ba=0.06, sd_ratio_ba=0.018371173070873836, mean_log10_air=2.0, mean_pi_ld=33.35294117647059)",
+    "B": "GroupSummary(label='B', n_journals=32, total_articles=3200, total_articles_ga=127, total_cites=1627, mean_log10_cr=1.3948883991792138, sd_log10_cr=0.38681902492348674, mean_ca=0.5084375, sd_ca=1.1083294880279322, mean_ratio_ba=0.0396875, sd_ratio_ba=0.012568361455552566, mean_log10_air=2.0, mean_pi_ld=4.75)",
+    "C": "GroupSummary(label='C', n_journals=31, total_articles=3100, total_articles_ga=122, total_cites=1097, mean_log10_cr=1.3530612942204758, sd_log10_cr=0.3089955011862954, mean_ca=0.3538709677419355, sd_ca=0.6580561142200303, mean_ratio_ba=0.03935483870967742, sd_ratio_ba=0.009978471449732082, mean_log10_air=2.0, mean_pi_ld=9.709677419354838)",
+}
+
+
+@pytest.mark.parametrize("label", sorted(PINNED_SUMMARIES))
+def test_summarize_group_keeps_its_bits_on_each_fixture_category(label):
+    pairs = corpus_indicator_sets(build_fixture_corpus())
+    sets = [s for j, s in pairs if j.category.value == label]
+    assert repr(summarize_group(sets, label)) == PINNED_SUMMARIES[label]
+
+
+def test_summarize_group_keeps_its_bits_with_a_journal_of_no_production():
+    # the fixture's A2 journals with registry production 0, 37, 74, ..., so one
+    # has no registry articles and the others' logs differ
+    corpus = build_fixture_corpus()
+    a2 = [j.journal_id for j in corpus.journals if j.category is IbnpCategory.A2]
+    production = {journal_id: 37 * k for k, journal_id in enumerate(a2)}
+    journals = tuple(
+        j._replace(air_ibnp=production.get(j.journal_id, j.air_ibnp)) for j in corpus.journals
+    )
+    pairs = corpus_indicator_sets(corpus._replace(journals=journals))
+    sets = [s for j, s in pairs if j.journal_id in production]
+    assert sets[0].air_ibnp == 0
+    assert repr(summarize_group(sets, "A2")) == (
+        "GroupSummary(label='A2', n_journals=17, total_articles=5032, total_articles_ga=102, total_cites=4783, mean_log10_cr=2.2698532942194114, sd_log10_cr=0.39677013115155557, mean_ca=2.366791595697846, sd_ca=4.980371235507124, mean_ratio_ba=0.03775953541578542, sd_ratio_ba=0.05395648893589582, mean_log10_air=2.400740448678203, mean_pi_ld=33.35294117647059)"
+    )
 
 
 # --- corpus pass -----------------------------------------------------------------

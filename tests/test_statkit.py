@@ -23,7 +23,13 @@ from citemetric.statkit import (
     studentized_range_q,
     tukey_groups,
 )
-from oracles import anova_f_reference, equicorrelated_columns, spearman_r_reference
+from oracles import (
+    anova_f_reference,
+    equicorrelated_columns,
+    exact_permutation_pvalue,
+    exact_permutation_pvalue_loop,
+    spearman_r_reference,
+)
 
 
 # --- ranks -------------------------------------------------------------------
@@ -111,6 +117,29 @@ def test_spearman_errors():
         spearman([1, 1, 1], [1, 2, 3])
     with pytest.raises(DomainError):
         spearman([1, 2], [1, 2])
+
+
+def _c02_small_samples():
+    """The n = 7 samples test_acceptance.test_c02_spearman_oracle draws,
+    replayed from its seed."""
+    rng = random.Random(202)
+    checked = 0
+    while checked < 500:
+        n = rng.randint(3, 50)
+        x = [rng.randint(0, 9) for _ in range(n)]
+        y = [rng.randint(0, 9) for _ in range(n)]
+        if len(set(x)) > 1 and len(set(y)) > 1:
+            checked += 1
+    for _ in range(10):
+        x = [rng.randint(0, 5) for _ in range(7)]
+        y = [rng.randint(0, 5) for _ in range(7)]
+        if len(set(x)) > 1 and len(set(y)) > 1:
+            yield x, y
+
+
+@pytest.mark.parametrize("x, y", list(_c02_small_samples()))
+def test_exact_permutation_pvalue_equals_its_loop_on_the_c02_samples(x, y):
+    assert exact_permutation_pvalue(x, y) == exact_permutation_pvalue_loop(x, y)
 
 
 # --- tail probabilities ----------------------------------------------------------
