@@ -200,7 +200,10 @@ def correlation_matrix(
                     ys.append(b)
             if len(xs) < 3:
                 raise DomainError(f"{names[i]} vs {names[j]}: only {len(xs)} journals")
-            result = spearman(xs, ys)
+            try:
+                result = spearman(xs, ys)
+            except DomainError as error:
+                raise DomainError(f"{names[i]} vs {names[j]}: {error}") from error
             r[i][j] = r[j][i] = result.r
             significant[i][j] = significant[j][i] = result.p_value < alpha
             counts[i][j] = counts[j][i] = result.n

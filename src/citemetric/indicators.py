@@ -9,15 +9,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .corpus import (
-    VISIBLE_STATUSES,
-    Area,
-    ArticleRecord,
-    IbnpCategory,
-    JournalCorpus,
-    JournalRecord,
-    Library,
-)
+from .corpus import VISIBLE_STATUSES, Area, IbnpCategory, JournalCorpus, JournalRecord, Library
 from .errors import DomainError
 
 INDICATOR_CSV_HEADER = (
@@ -90,15 +82,13 @@ def pi_ibnp(category: IbnpCategory) -> int:
     return CATEGORY_SCORES[category]
 
 
-def compute_indicator_set(
-    journal: JournalRecord, records: Sequence[ArticleRecord]
-) -> IndicatorSet:
-    """Build the full per-journal indicator set from its visible records."""
+def compute_indicator_set(journal: JournalRecord, cites: Sequence[int]) -> IndicatorSet:
+    """Build the full per-journal indicator set from the cites of its visible articles."""
     air_ibnp = journal.air_ibnp
     if air_ibnp < 0:
         raise DomainError("registry production cannot be negative")
-    air_ga = len(records)
-    cr_ga = sum(r.cites for r in records)
+    air_ga = len(cites)
+    cr_ga = sum(cites)
     return IndicatorSet(
         journal_id=journal.journal_id,
         air_ibnp=air_ibnp,
@@ -106,7 +96,7 @@ def compute_indicator_set(
         cr_ga=cr_ga,
         ca_mean=cr_ga / air_ibnp if air_ibnp > 0 else None,
         visibility_ratio=air_ga / air_ibnp if air_ibnp > 0 else None,
-        h=h_index([r.cites for r in records]),
+        h=h_index(cites),
         pi_ld=pi_ld(journal.memberships),
         pi_ibnp=pi_ibnp(journal.category),
     )
@@ -200,29 +190,25 @@ def corpus_indicator_sets(
     The normalized citation index stays unset for journals without a defined
     rate or for areas where no journal qualifies.
     """
-    visible: dict[str, list[ArticleRecord]] = {}
+    cites: dict[str, list[int]] = {}
     for article in corpus.articles:
         if article.status in VISIBLE_STATUSES:
-            visible.setdefault(article.journal_id, []).append(article)
+            cites.setdefault(article.journal_id, []).append(article.cites)
     pairs = [
-        (journal, compute_indicator_set(journal, visible.get(journal.journal_id, ())))
+        (journal, compute_indicator_set(journal, cites.get(journal.journal_id, ())))
         for journal in corpus.journals
     ]
 
-    by_area: dict[Area, list[IndicatorSet]] = {}
+    rated: dict[Area, list[IndicatorSet]] = {}
     for journal, indicator in pairs:
-        by_area.setdefault(journal.area, []).append(indicator)
-    area_means = {
-        area: area_mean_citation(sets, mode=mean_mode)
-        for area, sets in by_area.items()
-        if any(s.ca_mean is not None for s in sets)
-    }
+        if indicator.ca_mean is not None:
+            rated.setdefault(journal.area, []).append(indicator)
+    area_means = {area: area_mean_citation(sets, mean_mode) for area, sets in rated.items()}
 
     out: list[Tuple[JournalRecord, IndicatorSet]] = []
     for journal, indicator in pairs:
-        area_mean = area_means.get(journal.area)
-        if area_mean is not None and indicator.ca_mean is not None and area_mean > 0:
-            indicator = indicator._replace(cpn=cpn(indicator, area_mean))
+        if indicator.ca_mean is not None and area_means[journal.area] > 0:
+            indicator = indicator._replace(cpn=cpn(indicator, area_means[journal.area]))
         out.append((journal, indicator))
     return out
 

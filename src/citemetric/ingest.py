@@ -253,14 +253,15 @@ def parse_alias_file(content) -> AliasMap:
     return AliasMap(aliases)
 
 
-_NOT_ALNUM = re.compile(r"[^0-9a-z]+")
+_NOT_ALNUM = re.compile(r"[\W_]+")
 
 
 def normalize_title(title: str) -> str:
-    """Lowercase, strip accents, make each run of characters other than ASCII
-    letters and digits one space, and trim."""
+    """Lowercase, strip accents, make each run of characters other than
+    letters and digits, of any script, one space, and trim."""
     text = title.lower()
-    # ASCII text is its own NFD form and holds no combining mark
+    # ASCII text is its own NFD form and holds no combining mark. The marks go
+    # before the substitution: a mark is not a letter, so it would split a word
     if not text.isascii():
         text = unicodedata.normalize("NFD", text)
         text = "".join(ch for ch in text if not unicodedata.combining(ch))

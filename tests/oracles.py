@@ -3,8 +3,8 @@
 These deliberately avoid the code paths under test: counting instead of
 sorting for the h index, scipy plus numpy for rank correlation, exhaustive
 permutation for small-sample p values, and the original all-pairs record
-cleaning with a full Levenshtein and the original title normalization for
-title deduplication.
+cleaning with a full Levenshtein and a character-by-character title
+normalization for title deduplication.
 """
 
 from __future__ import annotations
@@ -29,11 +29,13 @@ from citemetric.ingest import (
 
 
 def normalize_title_reference(title: str) -> str:
-    """Title normalization as first written: NFD, then every character's
-    combining class checked, then punctuation and whitespace."""
+    """Title normalization in two passes: NFD, then every character's
+    combining class checked, then each character that is neither a letter nor
+    a digit of any script (by ``str.isalnum``) nor whitespace made a space,
+    then whitespace runs collapsed."""
     text = unicodedata.normalize("NFD", title.lower())
     text = "".join(ch for ch in text if not unicodedata.combining(ch))
-    text = re.sub(r"[^0-9a-z\s]+", " ", text)
+    text = "".join(ch if ch.isalnum() or ch.isspace() else " " for ch in text)
     return re.sub(r"\s+", " ", text).strip()
 
 

@@ -367,6 +367,12 @@ def test_alpha_and_top_out_of_range_exit_with_usage_error(tmp_path, capsys):
         ("compare", "h,cr_ga_log10,h", "variable 'h' is listed more than once"),
         ("correlate", "h,h", "variable 'h' is listed more than once"),
         ("correlate", "h", "need at least two variables"),
+        # every fixture journal has air_ibnp 100
+        (
+            "correlate",
+            "air_ibnp_log10,h",
+            "air_ibnp_log10 vs h: constant input leaves the correlation undefined",
+        ),
     ],
 )
 def test_empty_or_repeated_vars_is_a_one_line_data_error(

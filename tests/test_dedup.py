@@ -1,5 +1,6 @@
 import math
 import random
+import unicodedata
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -51,6 +52,26 @@ def test_tied_cites_keep_the_earlier_row():
     cleaned, _ = deduplicate(records, CONFIG)
     assert cleaned[0].status is ArticleStatus.KEPT
     assert cleaned[1].status is ArticleStatus.DROPPED_DUPLICATE
+
+
+def test_titles_in_other_scripts_are_kept_apart():
+    titles = ["Физика твёрдого тела", "Биология клетки", "Ελληνική γλώσσα"]
+    records = [_record(title, cites=c) for c, title in enumerate(titles, start=1)]
+    cleaned, report = deduplicate(records, CONFIG)
+    assert [r.status for r in cleaned] == [ArticleStatus.KEPT] * 3
+    assert report.decisions == ()
+
+
+def test_cyrillic_titles_one_letter_apart_collapse():
+    title = "физика твердого тела"
+    twin = title[:-2] + "п" + title[-1:]
+    assert levenshtein(title, twin) == 1
+    records = [_record(title, cites=5), _record(twin, cites=1)]
+    cleaned, report = deduplicate(records, CONFIG)
+    assert [r.status for r in cleaned] == [ArticleStatus.KEPT, ArticleStatus.DROPPED_DUPLICATE]
+    (decision,) = report.decisions
+    assert decision.similarity == 1.0 - 1 / 20
+    assert decision.similarity >= CONFIG.title_threshold
 
 
 def test_empty_title_missing_year_and_out_of_window_are_incomplete():
@@ -205,6 +226,22 @@ def test_normalize_title_strips_accents_and_punctuation():
     assert normalize_title("\u212bngstr\u00f6m") == "angstrom"
 
 
+@pytest.mark.parametrize(
+    "title, normalized",
+    [
+        ("Физика твёрдого тела", "физика твердого тела"),
+        ("Ελληνική γλώσσα", "ελληνικη γλωσσα"),
+        ("한국어 논문", unicodedata.normalize("NFD", "한국어 논문")),  # Hangul splits into jamo
+        ("日本語の論文タイトル", "日本語の論文タイトル"),  # unspaced: one word
+        ("हिन्दी पत्रिका", "ह नद पतर क"),  # a spacing vowel sign separates words
+        ("Straße_und Weg", "straße und weg"),  # lower(), not casefold(): ß stays
+    ],
+    ids=["cyrillic", "greek", "hangul", "japanese", "devanagari", "eszett"],
+)
+def test_normalize_title_keeps_letters_of_every_script(title, normalized):
+    assert normalize_title(title) == normalized
+
+
 @given(st.text(max_size=60))
 def test_normalize_title_is_idempotent(text):
     once = normalize_title(text)
@@ -252,12 +289,25 @@ BASE_TITLES = (
     "urban heat islands",
 )
 EDIT_ALPHABET = "abcdeilmnorsz áéíñ.,-"
+# the same roles in Cyrillic and Greek: two boundary lengths (25 and 50) and
+# bases that share no words
+OTHER_SCRIPT_TITLES = (
+    "физика твердого тела 1990",
+    "история науки и техники в странах восточной европы",
+    "ελληνική γλώσσα",
+    "βιολογία των κυττάρων",
+)
+OTHER_SCRIPT_EDIT_ALPHABET = "абвгдеёийклнорст ΑαβγλοσςώΣ.,-"
 PUNCTUATION_ONLY = ("...", "¡!", " - ", "¿?", "")
 
 
 def test_base_titles_have_the_boundary_lengths():
     lengths = [len(normalize_title(t)) for t in BASE_TITLES[:4]]
     assert lengths == [25, 50, 75, 100]
+
+
+def test_other_script_titles_have_the_boundary_lengths():
+    assert [len(normalize_title(t)) for t in OTHER_SCRIPT_TITLES[:2]] == [25, 50]
 
 
 def _substituted(title, positions):
@@ -268,18 +318,18 @@ def _substituted(title, positions):
 
 
 @st.composite
-def _variant(draw, source):
+def _variant(draw, source, alphabet=EDIT_ALPHABET):
     """source with 0-4 single-character edits, sometimes as a case, accent or punctuation twin."""
     chars = list(source)
     for _ in range(draw(st.integers(0, 4))):
         edit = draw(st.sampled_from(["substitute", "substitute", "insert", "delete"]))
         pos = draw(st.integers(0, max(len(chars) - 1, 0)))
         if edit == "insert" or not chars:
-            chars.insert(pos, draw(st.sampled_from(EDIT_ALPHABET)))
+            chars.insert(pos, draw(st.sampled_from(alphabet)))
         elif edit == "delete":
             del chars[pos]
         else:
-            chars[pos] = draw(st.sampled_from(EDIT_ALPHABET))
+            chars[pos] = draw(st.sampled_from(alphabet))
     title = "".join(chars)
     twin = draw(st.sampled_from(["none", "none", "upper", "accent", "punctuation"]))
     if twin == "upper":
@@ -336,22 +386,22 @@ def test_title_similarity_matches_the_reference(pair):
 
 
 @st.composite
-def _pair_within_edits(draw):
+def _pair_within_edits(draw, alphabet="ab c"):
     """(a, b, k): b a title, k below its length, a b with at most k edits;
     the longer of the two comes second, as the sweep compares them."""
-    b = draw(st.text(alphabet="ab c", min_size=1, max_size=16))
+    b = draw(st.text(alphabet=alphabet, min_size=1, max_size=16))
     k = draw(st.integers(0, len(b) - 1))
     chars = list(b)
     for _ in range(draw(st.integers(0, k))):
         edit = draw(st.sampled_from(["substitute", "insert", "delete"]))
         pos = draw(st.integers(0, len(chars)))
         if edit == "insert":
-            chars.insert(pos, draw(st.sampled_from("ab cx")))
+            chars.insert(pos, draw(st.sampled_from(alphabet + "x")))
         elif pos < len(chars):
             if edit == "delete":
                 del chars[pos]
             else:
-                chars[pos] = draw(st.sampled_from("ab cx"))
+                chars[pos] = draw(st.sampled_from(alphabet + "x"))
     a = "".join(chars)
     return (b, a, k) if len(a) > len(b) else (a, b, k)
 
@@ -373,6 +423,14 @@ def test_piece_filter_keeps_every_pair_within_the_budget(case):
         assert _holds_a_piece(a, _pieces(b, k))
 
 
+@settings(max_examples=200)
+@given(_pair_within_edits("бвёλσ "))
+def test_piece_filter_keeps_every_pair_within_the_budget_in_cyrillic_and_greek(case):
+    a, b, k = case
+    if levenshtein_reference(a, b) <= k:
+        assert _holds_a_piece(a, _pieces(b, k))
+
+
 def test_piece_filter_drops_pairs_with_no_piece_in_place():
     # k = 0 keeps only an equal title; a piece found outside its window is no match
     assert not _holds_a_piece("abcdefgx", _pieces("abcdefgh", 0))
@@ -390,11 +448,11 @@ def _boundary_twin(draw, base, threshold):
 
 
 @st.composite
-def _dedup_cases(draw):
+def _dedup_cases(draw, base_titles=BASE_TITLES, alphabet=EDIT_ALPHABET):
     # a few bases per case, and variants of earlier variants, so near-duplicate
     # groups, chains of pairs and shared (year, cites) buckets are common
     threshold = draw(st.sampled_from([0.5, 0.8, 0.9, 0.92, 0.96, 1.0]))
-    bases = draw(st.lists(st.sampled_from(BASE_TITLES), min_size=1, max_size=3, unique=True))
+    bases = draw(st.lists(st.sampled_from(base_titles), min_size=1, max_size=3, unique=True))
     titles = list(bases)  # the bases are rows too, so boundary twins meet their base
     for _ in range(draw(st.integers(1, 8))):
         kind = draw(st.sampled_from(["punctuation", "boundary", "boundary", "variant", "variant"]))
@@ -403,7 +461,7 @@ def _dedup_cases(draw):
         elif kind == "boundary":
             titles.append(draw(_boundary_twin(draw(st.sampled_from(bases)), threshold)))
         else:
-            titles.append(draw(_variant(draw(st.sampled_from(titles)))))
+            titles.append(draw(_variant(draw(st.sampled_from(titles)), alphabet)))
     titles = draw(st.permutations(titles))
     records = [
         _record(
@@ -434,6 +492,16 @@ def test_dedup_matches_the_all_pairs_reference(case):
     expected_cleaned, expected_report = deduplicate_reference(records, config)
     assert [r.status for r in cleaned] == [r.status for r in expected_cleaned]
     assert report == expected_report  # counts, decision order and similarity floats
+
+
+@settings(deadline=None, max_examples=100)
+@given(_dedup_cases(OTHER_SCRIPT_TITLES, OTHER_SCRIPT_EDIT_ALPHABET))
+def test_dedup_matches_the_all_pairs_reference_in_cyrillic_and_greek(case):
+    records, config = case
+    cleaned, report = deduplicate(records, config)
+    expected_cleaned, expected_report = deduplicate_reference(records, config)
+    assert [r.status for r in cleaned] == [r.status for r in expected_cleaned]
+    assert report == expected_report
 
 
 @pytest.mark.parametrize("title, budget", [(BASE_TITLES[0], 2), (BASE_TITLES[3], 8)])

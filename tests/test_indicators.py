@@ -9,11 +9,11 @@ from hypothesis import given, strategies as st
 from citemetric.corpus import (
     VISIBLE_STATUSES,
     Area,
-    ArticleRecord,
     ArticleStatus,
     IbnpCategory,
     JournalRecord,
     Library,
+    filter_by_area,
 )
 from citemetric.errors import DomainError
 from citemetric.indicators import (
@@ -46,13 +46,6 @@ def _journal(**kwargs):
     )
     base.update(kwargs)
     return JournalRecord(**base)
-
-
-def _records(cites):
-    return [
-        ArticleRecord(journal_id="j1", title=f"nota {i}", year=2005, cites=c)
-        for i, c in enumerate(cites)
-    ]
 
 
 def _set(**kwargs) -> IndicatorSet:
@@ -146,16 +139,14 @@ def test_cr_ga_log10_is_monotone_from_zero():
 
 
 def test_compute_indicator_set_quotients():
-    records = _records([25])
-    indicator = compute_indicator_set(_journal(air_ibnp=50), records)
+    indicator = compute_indicator_set(_journal(air_ibnp=50), [25])
     assert indicator.ca_mean == pytest.approx(0.5)
     assert indicator.air_ga == 1
     assert indicator.cr_ga == 25
 
 
 def test_compute_indicator_set_visibility_ratio():
-    records = _records([0] * 480)
-    indicator = compute_indicator_set(_journal(air_ibnp=1157), records)
+    indicator = compute_indicator_set(_journal(air_ibnp=1157), [0] * 480)
     assert indicator.visibility_ratio == pytest.approx(480 / 1157)
     assert f"{indicator.visibility_ratio:.4f}" == "0.4149"
 
@@ -169,14 +160,14 @@ def test_compute_indicator_set_zero_records():
 
 
 def test_compute_indicator_set_zero_production_leaves_quotients_undefined():
-    indicator = compute_indicator_set(_journal(air_ibnp=0), _records([3]))
+    indicator = compute_indicator_set(_journal(air_ibnp=0), [3])
     assert indicator.ca_mean is None
     assert indicator.visibility_ratio is None
 
 
 @given(st.lists(st.integers(min_value=0, max_value=40), max_size=30))
 def test_indicator_set_h_bounds(cites):
-    indicator = compute_indicator_set(_journal(air_ibnp=100), _records(cites))
+    indicator = compute_indicator_set(_journal(air_ibnp=100), cites)
     assert indicator.h <= indicator.air_ga
     assert indicator.h <= max(cites, default=0)
 
@@ -366,16 +357,68 @@ def test_corpus_indicator_sets_match_a_per_journal_scan():
 
     expected = []
     for journal in corpus.journals:
-        visible = [
-            a
+        cites = [
+            a.cites
             for a in corpus.articles
             if a.journal_id == journal.journal_id and a.status in VISIBLE_STATUSES
         ]
-        expected.append((journal, compute_indicator_set(journal, visible)))
+        expected.append((journal, compute_indicator_set(journal, cites)))
     areas = {journal.area for journal, _ in expected}
     stats = {a: area_mean_citation([s for j, s in expected if j.area is a]) for a in areas}
     expected = [(j, s._replace(cpn=cpn(s, stats[j.area]))) for j, s in expected]
     assert corpus_indicator_sets(corpus) == expected
+
+
+def _with_sociales_copies(corpus, journal_fields, article_fields):
+    """The fixture plus a Sociales copy of every fifth journal and of its
+    articles, with the given fields replaced on each copy."""
+    copies = {
+        j.journal_id: j._replace(
+            journal_id="soc" + j.journal_id, area=Area.CIENCIAS_SOCIALES, **journal_fields
+        )
+        for j in corpus.journals[::5]
+    }
+    articles = [
+        a._replace(journal_id=copies[a.journal_id].journal_id, **article_fields)
+        for a in corpus.articles
+        if a.journal_id in copies
+    ]
+    return corpus._replace(
+        journals=corpus.journals + tuple(copies.values()),
+        articles=corpus.articles + tuple(articles),
+    )
+
+
+def _ciencias_pairs_are_the_ciencias_only_pass(corpus, pairs):
+    ciencias = [(j, s) for j, s in pairs if j.area is Area.CIENCIAS]
+    assert ciencias == corpus_indicator_sets(filter_by_area(corpus, Area.CIENCIAS))
+    assert all(s.cpn is not None for _, s in ciencias)
+
+
+def test_an_area_without_registry_production_gets_no_cpn():
+    corpus = _with_sociales_copies(build_fixture_corpus(), {"air_ibnp": 0}, {})
+    pairs = corpus_indicator_sets(corpus)
+    sociales = [s for j, s in pairs if j.area is Area.CIENCIAS_SOCIALES]
+    assert len(sociales) == 17
+    assert all(s.ca_mean is None and s.cpn is None for s in sociales)
+    assert all(s.air_ga > 0 for s in sociales)
+    _ciencias_pairs_are_the_ciencias_only_pass(corpus, pairs)
+
+
+def test_an_area_without_citations_keeps_cpn_unset():
+    corpus = _with_sociales_copies(build_fixture_corpus(), {}, {"cites": 0})
+    pairs = corpus_indicator_sets(corpus)
+    sociales = [s for j, s in pairs if j.area is Area.CIENCIAS_SOCIALES]
+    assert len(sociales) == 17
+    assert all(s.ca_mean == 0.0 and s.cpn is None for s in sociales)
+    for mode in ("ratios", "pooled"):
+        assert area_mean_citation(sociales, mode=mode) == 0.0
+        assert all(
+            s.cpn is None
+            for j, s in corpus_indicator_sets(corpus, mode)
+            if j.area is Area.CIENCIAS_SOCIALES
+        )
+    _ciencias_pairs_are_the_ciencias_only_pass(corpus, pairs)
 
 
 # --- CSV rendering ---------------------------------------------------------------
@@ -383,7 +426,7 @@ def test_corpus_indicator_sets_match_a_per_journal_scan():
 
 def test_indicators_csv_header_and_rendering():
     journal = _journal(air_ibnp=50)
-    indicator = compute_indicator_set(journal, _records([25]))
+    indicator = compute_indicator_set(journal, [25])
     text = indicators_csv([(journal, indicator)])
     lines = text.splitlines()
     assert lines[0] == INDICATOR_CSV_HEADER
@@ -396,7 +439,7 @@ def test_indicators_csv_header_and_rendering():
 
 def test_indicators_csv_undefined_quotients_render_empty():
     journal = _journal(air_ibnp=0)
-    indicator = compute_indicator_set(journal, _records([3]))
+    indicator = compute_indicator_set(journal, [3])
     lines = indicators_csv([(journal, indicator)]).splitlines()
     cells = lines[1].split(",")
     assert cells[6] == "" and cells[8] == ""
@@ -411,7 +454,7 @@ def test_indicators_csv_round_trips_titles_with_line_breaks():
     pairs = []
     for n, title in enumerate(_AWKWARD_TITLES):
         journal = _journal(journal_id=f"j{n}", title=title)
-        pairs.append((journal, compute_indicator_set(journal, _records([2, 1]))))
+        pairs.append((journal, compute_indicator_set(journal, [2, 1])))
     rows = list(csv.reader(io.StringIO(indicators_csv(pairs), newline="")))
     assert rows[0] == INDICATOR_CSV_HEADER.split(",")
     assert [row[:2] for row in rows[1:]] == [[f"j{n}", t] for n, t in enumerate(_AWKWARD_TITLES)]
