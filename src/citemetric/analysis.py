@@ -3,8 +3,7 @@ citation factor analysis, and the two citation regressions.
 
 Each analysis takes one knowledge area's ``(JournalRecord, IndicatorSet)``
 pairs, as :func:`citemetric.indicators.corpus_indicator_sets` returns them
-for a corpus restricted with :func:`citemetric.corpus.filter_by_area`, and
-reads indicator values through the named variables of
+for that area's journals, and reads indicator values through the named variables of
 :data:`citemetric.indicators.VARIABLES` so callers can pick columns by name.
 """
 

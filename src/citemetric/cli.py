@@ -20,6 +20,11 @@ Anything else (``--help``, ``--flag=value``, an abbreviated, unknown,
 repeated or missing flag, a bad value) goes to argparse, which parses it
 from the same table and writes every help, usage and error message.
 
+A command that reads a corpus keeps no article record:
+``ingest.journal_cites_from_json`` reads the file's text into the journals
+and each journal's visible cites, and the text is freed before any analysis
+runs, so ``factor`` and ``regress`` load numpy without it.
+
 A data error raised while the registry, the alias file, an export or the
 corpus is decoded or parsed starts with that file's path.
 
@@ -40,6 +45,7 @@ from types import SimpleNamespace
 from typing import Optional, Sequence, Tuple
 
 from . import ingest
+# filter_by_area goes unused here; bench/spans.py wraps it by name
 from .corpus import Area, filter_by_area
 from .errors import CitemetricError, DomainError
 from .ingest import _INTEGER, DedupConfig
@@ -126,19 +132,24 @@ def _reading(path):
 
 
 def _area_pairs(args, mean_mode: str = "ratios"):
-    """Load --corpus, keep --area's journals if one is given, and compute
-    indicators. An --area without a journal in the corpus is a data error."""
+    """Read --corpus's journals and visible cites, keep --area's journals if
+    one is given, and compute indicators. An --area without a journal in the
+    corpus is a data error."""
     from . import indicators
 
     with _reading(args.corpus):
-        # decoded here, so the file's bytes are freed before the parse starts;
-        # corpus_from_json strips a leading byte-order mark, as it does from bytes
-        corpus = ingest.corpus_from_json(Path(args.corpus).read_bytes().decode("utf-8"))
+        # decoded here, so the file's bytes are freed before the parse starts,
+        # and the text is freed when the reader returns; the reader strips a
+        # leading byte-order mark, as it does from bytes
+        journals, cites = ingest.journal_cites_from_json(
+            Path(args.corpus).read_bytes().decode("utf-8")
+        )
     if args.area:
-        corpus = filter_by_area(corpus, _AREAS[args.area])
-        if not corpus.journals:
+        area = _AREAS[args.area]
+        journals = tuple(j for j in journals if j.area is area)
+        if not journals:
             raise DomainError(f"the corpus holds no journal of area {args.area!r}")
-    return indicators.corpus_indicator_sets(corpus, mean_mode=mean_mode)
+    return indicators.corpus_indicator_sets(journals, cites, mean_mode=mean_mode)
 
 
 def _run_ingest(args) -> str:

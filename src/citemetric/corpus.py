@@ -80,14 +80,11 @@ def _visible_fault(index: int, article: ArticleRecord, fault: str) -> str:
     return f"{_row(index, article)}: {word} record with {fault}"
 
 
-def validate_corpus(corpus: JournalCorpus) -> list[str]:
-    """Check every type invariant; return one description per violation.
-
-    Violations are data, not failures: an empty list means the corpus is valid.
-    """
+def _journal_violations(journals: Tuple[JournalRecord, ...]) -> list[str]:
+    """The journal rules of :func:`validate_corpus`."""
     violations: list[str] = []
     seen: set[str] = set()
-    for journal in corpus.journals:
+    for journal in journals:
         if journal.journal_id in seen:
             violations.append(f"duplicate journal_id {journal.journal_id!r}")
         seen.add(journal.journal_id)
@@ -97,7 +94,16 @@ def validate_corpus(corpus: JournalCorpus) -> list[str]:
             violations.append(f"journal {journal.journal_id!r} has empty title")
         if journal.air_ibnp < 0:
             violations.append(f"journal {journal.journal_id!r} has negative ibnp total")
+    return violations
 
+
+def validate_corpus(corpus: JournalCorpus) -> list[str]:
+    """Check every type invariant; return one description per violation.
+
+    Violations are data, not failures: an empty list means the corpus is valid.
+    """
+    violations = _journal_violations(corpus.journals)
+    seen = {journal.journal_id for journal in corpus.journals}
     start, end = corpus.window
     for index, article in enumerate(corpus.articles):
         if article.journal_id not in seen:
@@ -121,3 +127,13 @@ def filter_by_area(corpus: JournalCorpus, area: Area) -> JournalCorpus:
         articles=tuple(a for a in corpus.articles if a.journal_id in kept_ids),
         window=corpus.window,
     )
+
+
+def visible_cites(corpus: JournalCorpus) -> dict[str, list[int]]:
+    """Each journal id with a visible article, mapped to the cites of its
+    visible articles in article order."""
+    cites: dict[str, list[int]] = {}
+    for article in corpus.articles:
+        if article.status in VISIBLE_STATUSES:
+            cites.setdefault(article.journal_id, []).append(article.cites)
+    return cites

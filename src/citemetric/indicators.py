@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .corpus import VISIBLE_STATUSES, Area, IbnpCategory, JournalCorpus, JournalRecord, Library
+from .corpus import Area, IbnpCategory, JournalRecord, Library
 from .errors import DomainError
 
 INDICATOR_CSV_HEADER = (
@@ -183,20 +183,21 @@ def summarize_group(sets: Sequence[IndicatorSet], label: str) -> GroupSummary:
 
 
 def corpus_indicator_sets(
-    corpus: JournalCorpus, mean_mode: str = "ratios"
+    journals: Sequence[JournalRecord],
+    cites: Mapping[str, Sequence[int]],
+    mean_mode: str = "ratios",
 ) -> list[Tuple[JournalRecord, IndicatorSet]]:
-    """Indicator sets for every journal, normalized within each journal's area.
+    """Indicator sets for ``journals``, normalized within each journal's area.
 
-    The normalized citation index stays unset for journals without a defined
-    rate or for areas where no journal qualifies.
+    ``cites`` maps a journal id to the cites of its visible articles, as
+    :func:`citemetric.corpus.visible_cites` and
+    :func:`citemetric.ingest.journal_cites_from_json` return them; a journal
+    it does not name has none. The normalized citation index stays unset for
+    journals without a defined rate or for areas where no journal qualifies.
     """
-    cites: dict[str, list[int]] = {}
-    for article in corpus.articles:
-        if article.status in VISIBLE_STATUSES:
-            cites.setdefault(article.journal_id, []).append(article.cites)
     pairs = [
         (journal, compute_indicator_set(journal, cites.get(journal.journal_id, ())))
-        for journal in corpus.journals
+        for journal in journals
     ]
 
     rated: dict[Area, list[IndicatorSet]] = {}

@@ -29,7 +29,9 @@ from .corpus import (
     JournalRecord,
     Library,
     VISIBLE_STATUSES,
+    _journal_violations,
     validate_corpus,
+    visible_cites,
 )
 from .errors import BadCell, DomainError, MalformedCorpus
 
@@ -625,6 +627,67 @@ def _article(a, index, share) -> ArticleRecord:
     )
 
 
+def _parse(content, object_hook):
+    """The JSON document ``content`` holds, each object passed through
+    ``object_hook`` as the parser reads it."""
+    try:
+        return json.loads(_decode(content), object_hook=object_hook)
+    except UnicodeDecodeError as error:
+        raise MalformedCorpus(f"corpus JSON is not UTF-8: {error}") from None
+    except ValueError as error:  # JSONDecodeError, or an integer over the digit limit
+        raise MalformedCorpus(f"corpus JSON does not parse: {error}") from None
+    except RecursionError:
+        raise MalformedCorpus("corpus JSON is nested too deeply") from None
+
+
+def _journal_rows(doc) -> list:
+    """The journals section's fields, checked, one tuple per journal."""
+    with _section("journals"):
+        rows = []
+        for index, j in enumerate(doc["journals"]):
+            journal_id, title, memberships = j["journal_id"], j["title"], j["memberships"]
+            if type(journal_id) is not str:
+                raise _scalar_fault(f"journal {index}", "journal_id", journal_id, "str")
+            if type(title) is not str:
+                raise _scalar_fault(f"journal {index}", "title", title, "str")
+            area, category = Area(j["area"]), IbnpCategory(j["category"])
+            if type(memberships) is not list:
+                raise _scalar_fault(f"journal {index}", "memberships", memberships, "list")
+            libraries = frozenset(Library(t) for t in memberships)
+            # a repeated name would load merged and be written back once
+            if len(libraries) < len(memberships):
+                raise ValueError(f"journal {index}: memberships repeat a library: {memberships!r}")
+            rows.append((journal_id, title, area, category, libraries))
+    return rows
+
+
+def _journals_and_window(doc, rows) -> Tuple[Tuple[JournalRecord, ...], Tuple[int, int]]:
+    """The journal records of ``rows`` with their ibnp totals, and the window."""
+    with _section("ibnp_totals"):
+        totals = doc["ibnp_totals"]
+        if type(totals) is not dict:
+            raise TypeError(f"expected an object keyed by journal id, got {type(totals).__name__}")
+        journals = []
+        for journal_id, title, area, category, memberships in rows:
+            if journal_id not in totals:
+                raise ValueError(f"no entry for journal {journal_id!r}")
+            total = totals[journal_id]
+            if type(total) is not int:
+                raise _scalar_fault(f"journal {journal_id!r}", "total", total, "int")
+            journals.append(JournalRecord(journal_id, title, area, category, total, memberships))
+        known = {row[0] for row in rows}
+        for journal_id in totals:
+            if journal_id not in known:
+                raise ValueError(f"entry for unknown journal {journal_id!r}")
+    with _section("window"):
+        window = doc["window"]
+        if type(window) is not list or len(window) != 2 or any(type(y) is not int for y in window):
+            raise ValueError(f"expected two int years, got {window!r}")
+        if window[0] > window[1]:
+            raise ValueError(f"start {window[0]} is after end {window[1]}")
+    return tuple(journals), tuple(window)
+
+
 def corpus_from_json(content) -> JournalCorpus:
     """Read the document :func:`corpus_to_json` writes.
 
@@ -660,30 +723,8 @@ def corpus_from_json(content) -> JournalCorpus:
         except (KeyError, TypeError, ValueError):
             return obj
 
-    try:
-        doc = json.loads(_decode(content), object_hook=article_or_object)
-    except UnicodeDecodeError as error:
-        raise MalformedCorpus(f"corpus JSON is not UTF-8: {error}") from None
-    except ValueError as error:  # JSONDecodeError, or an integer over the digit limit
-        raise MalformedCorpus(f"corpus JSON does not parse: {error}") from None
-    except RecursionError:
-        raise MalformedCorpus("corpus JSON is nested too deeply") from None
-    with _section("journals"):
-        rows = []
-        for index, j in enumerate(doc["journals"]):
-            journal_id, title, memberships = j["journal_id"], j["title"], j["memberships"]
-            if type(journal_id) is not str:
-                raise _scalar_fault(f"journal {index}", "journal_id", journal_id, "str")
-            if type(title) is not str:
-                raise _scalar_fault(f"journal {index}", "title", title, "str")
-            area, category = Area(j["area"]), IbnpCategory(j["category"])
-            if type(memberships) is not list:
-                raise _scalar_fault(f"journal {index}", "memberships", memberships, "list")
-            libraries = frozenset(Library(t) for t in memberships)
-            # a repeated name would load merged and be written back once
-            if len(libraries) < len(memberships):
-                raise ValueError(f"journal {index}: memberships repeat a library: {memberships!r}")
-            rows.append((journal_id, title, area, category, libraries))
+    doc = _parse(content, article_or_object)
+    rows = _journal_rows(doc)
     with _section("articles"):
         # the hook built the well-formed articles; building any other entry
         # again raises its fault, named by its index
@@ -693,32 +734,73 @@ def corpus_from_json(content) -> JournalCorpus:
                 for index, a in enumerate(doc["articles"])
             ]
         )
-    with _section("ibnp_totals"):
-        totals = doc["ibnp_totals"]
-        if type(totals) is not dict:
-            raise TypeError(f"expected an object keyed by journal id, got {type(totals).__name__}")
-        journals = []
-        for journal_id, title, area, category, memberships in rows:
-            if journal_id not in totals:
-                raise ValueError(f"no entry for journal {journal_id!r}")
-            total = totals[journal_id]
-            if type(total) is not int:
-                raise _scalar_fault(f"journal {journal_id!r}", "total", total, "int")
-            journals.append(JournalRecord(journal_id, title, area, category, total, memberships))
-        known = {row[0] for row in rows}
-        for journal_id in totals:
-            if journal_id not in known:
-                raise ValueError(f"entry for unknown journal {journal_id!r}")
-    with _section("window"):
-        window = doc["window"]
-        if type(window) is not list or len(window) != 2 or any(type(y) is not int for y in window):
-            raise ValueError(f"expected two int years, got {window!r}")
-        if window[0] > window[1]:
-            raise ValueError(f"start {window[0]} is after end {window[1]}")
-        window = tuple(window)
-    corpus = JournalCorpus(journals=tuple(journals), articles=articles, window=window)
+    journals, window = _journals_and_window(doc, rows)
+    corpus = JournalCorpus(journals=journals, articles=articles, window=window)
     violations = validate_corpus(corpus)
     if violations:
         more = f" (and {len(violations) - 1} more)" if len(violations) > 1 else ""
         raise MalformedCorpus(f"corpus JSON is invalid: {violations[0]}{more}")
     return corpus
+
+
+# what journal_cites_from_json's hook returns for an article it has read; no
+# JSON value is this object, so an entry holding it is one the hook read
+_READ = object()
+
+
+def journal_cites_from_json(content) -> Tuple[Tuple[JournalRecord, ...], dict[str, list[int]]]:
+    """``(corpus.journals, visible_cites(corpus))`` for the corpus
+    :func:`corpus_from_json` loads from ``content``, built without article
+    records: each article is built and checked as the parser reads it, its
+    cites join the map, and the parser keeps a marker in its place.
+
+    A document this cannot vouch for goes to :func:`corpus_from_json`, which
+    raises its exact :class:`MalformedCorpus` or gives the pairs from the
+    corpus it loads: a fault in any section, an ``articles`` entry left
+    unread, an article outside that array, negative cites, a visible article
+    without title or year or dated outside the window, an article of no
+    journal, or a journal :func:`validate_corpus` refuses.
+    """
+    share = {}.setdefault
+    cites: dict[str, list[int]] = {}
+    journal_ids, visible_years = set(), set()
+    read = 0
+    faulty = False
+
+    def cites_or_object(obj: dict):
+        nonlocal read, faulty
+        try:
+            article = _article(obj, None, share)
+        except (KeyError, TypeError, ValueError):
+            return obj
+        read += 1
+        journal_ids.add(article.journal_id)
+        if article.cites < 0:
+            faulty = True
+        if article.status in VISIBLE_STATUSES:
+            if article.year is None or not article.title.strip():
+                faulty = True
+            else:
+                visible_years.add(article.year)
+            cites.setdefault(article.journal_id, []).append(article.cites)
+        return _READ
+
+    try:
+        doc = _parse(content, cites_or_object)
+        journals, (start, end) = _journals_and_window(doc, _journal_rows(doc))
+    except MalformedCorpus:
+        faulty = True
+    else:
+        articles = doc.get("articles")
+        faulty = (
+            faulty
+            or type(articles) is not list
+            or not read == len(articles) == articles.count(_READ)
+            or any(not start <= year <= end for year in visible_years)
+            or not journal_ids <= {journal.journal_id for journal in journals}
+            or _journal_violations(journals) != []
+        )
+    if faulty:
+        corpus = corpus_from_json(content)
+        return corpus.journals, visible_cites(corpus)
+    return journals, cites

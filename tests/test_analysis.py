@@ -30,6 +30,7 @@ from citemetric.corpus import (
     JournalRecord,
     Library,
     filter_by_area,
+    visible_cites,
 )
 from citemetric.errors import DomainError
 from citemetric.indicators import VARIABLES, GroupSummary, corpus_indicator_sets, summarize_group
@@ -67,15 +68,16 @@ def make_pairs(specs):
                 )
             )
     corpus = JournalCorpus(journals=tuple(journals), articles=tuple(articles))
-    return corpus_indicator_sets(corpus)
+    return corpus_indicator_sets(corpus.journals, visible_cites(corpus))
 
 
 # --- group comparison --------------------------------------------------------
 
 
 def test_compare_excludes_single_journal_library():
+    corpus = build_fixture_corpus()
     table = compare_groups(
-        corpus_indicator_sets(build_fixture_corpus()),
+        corpus_indicator_sets(corpus.journals, visible_cites(corpus)),
         Area.CIENCIAS,
         GroupDimension.BY_LIBRARY,
         method="anova",
@@ -95,7 +97,8 @@ def test_compare_single_category_corpus_has_no_groups():
 
 
 def test_compare_refuses_an_unknown_method():
-    pairs = corpus_indicator_sets(build_fixture_corpus())
+    corpus = build_fixture_corpus()
+    pairs = corpus_indicator_sets(corpus.journals, visible_cites(corpus))
     with pytest.raises(DomainError, match="unknown method 'x'; use 'anova' or 'kw'"):
         compare_groups(pairs, Area.CIENCIAS, GroupDimension.BY_CATEGORY, method="x")
 
@@ -160,7 +163,8 @@ def test_compare_rank_based_method_reports_h_statistic():
 
 
 def test_compare_rows_match_standalone_summaries():
-    pairs = corpus_indicator_sets(build_fixture_corpus())
+    corpus = build_fixture_corpus()
+    pairs = corpus_indicator_sets(corpus.journals, visible_cites(corpus))
     table = compare_groups(pairs, Area.CIENCIAS, GroupDimension.BY_CATEGORY)
     for row in table.rows:
         members = [s for j, s in pairs if j.category.value == row.label]
@@ -169,7 +173,8 @@ def test_compare_rows_match_standalone_summaries():
 
 
 def test_compare_library_groups_overlap():
-    pairs = corpus_indicator_sets(build_fixture_corpus())
+    corpus = build_fixture_corpus()
+    pairs = corpus_indicator_sets(corpus.journals, visible_cites(corpus))
     table = compare_groups(pairs, Area.CIENCIAS, GroupDimension.BY_LIBRARY)
     total = sum(row.n_journals for row in table.rows)
     assert total > len(pairs)  # journals count once per library
@@ -179,8 +184,10 @@ def test_compare_library_groups_overlap():
 
 
 def test_correlation_matrix_is_exactly_symmetric_with_unit_diagonal():
+    corpus = build_fixture_corpus()
     matrix = correlation_matrix(
-        corpus_indicator_sets(build_fixture_corpus()), ["h", "cr_ga_log10", "ca_mean", "pi_ld"]
+        corpus_indicator_sets(corpus.journals, visible_cites(corpus)),
+        ["h", "cr_ga_log10", "ca_mean", "pi_ld"],
     )
     size = len(matrix.variables)
     for i in range(size):
@@ -238,7 +245,8 @@ def test_every_variable_is_defined_and_ranks_journals_its_own_way(tmp_path):
     bench_module("workloads").write_corpus_input(3, tmp_path, journals=60, articles=(5, 20))
     corpus = corpus_from_json((tmp_path / "corpus.json").read_text(encoding="utf-8"))
     for area in Area:
-        pairs = corpus_indicator_sets(filter_by_area(corpus, area))
+        area_corpus = filter_by_area(corpus, area)
+        pairs = corpus_indicator_sets(area_corpus.journals, visible_cites(area_corpus))
         first_with_ranks = {}
         for name, extract in VARIABLES.items():
             values = [extract(s) for _, s in pairs]
@@ -271,7 +279,8 @@ def test_factor_analysis_on_collinear_indicators():
 
 
 def test_factor_analysis_matches_direct_pca():
-    pairs = corpus_indicator_sets(build_fixture_corpus())
+    corpus = build_fixture_corpus()
+    pairs = corpus_indicator_sets(corpus.journals, visible_cites(corpus))
     result = citation_factor_analysis(pairs)
     rows = [
         [float(s.h), math.log10(s.cr_ga + 1), s.ca_mean]
@@ -314,7 +323,8 @@ def test_contributing_variables_thresholds():
 
 
 def test_citation_regression_matches_direct_fit():
-    pairs = corpus_indicator_sets(build_fixture_corpus())
+    corpus = build_fixture_corpus()
+    pairs = corpus_indicator_sets(corpus.journals, visible_cites(corpus))
     for response in ("logcr", "h"):
         result = citation_regression(pairs, response=response)
         rows = [
@@ -348,7 +358,8 @@ def test_citation_regression_constant_response_has_zero_slopes():
 
 
 def test_citation_regression_refuses_an_unknown_response():
-    pairs = corpus_indicator_sets(build_fixture_corpus())
+    corpus = build_fixture_corpus()
+    pairs = corpus_indicator_sets(corpus.journals, visible_cites(corpus))
     with pytest.raises(DomainError, match="unknown response 'x'; use 'logcr' or 'h'"):
         citation_regression(pairs, "x")
 
@@ -390,7 +401,8 @@ def test_regression_permuting_corpus_predictors_keeps_the_fit():
 
 
 def test_analysis_outputs_are_deterministic_json():
-    pairs = corpus_indicator_sets(build_fixture_corpus())
+    corpus = build_fixture_corpus()
+    pairs = corpus_indicator_sets(corpus.journals, visible_cites(corpus))
     table = compare_groups(pairs, Area.CIENCIAS, GroupDimension.BY_CATEGORY)
     matrix = correlation_matrix(pairs, ["h", "cr_ga_log10", "pi_ld"])
     factor = citation_factor_analysis(pairs)
@@ -404,7 +416,8 @@ def test_analysis_outputs_are_deterministic_json():
 def test_serialized_documents_carry_required_keys():
     import json
 
-    pairs = corpus_indicator_sets(build_fixture_corpus())
+    corpus = build_fixture_corpus()
+    pairs = corpus_indicator_sets(corpus.journals, visible_cites(corpus))
     table = compare_groups(pairs, Area.CIENCIAS, GroupDimension.BY_CATEGORY)
     doc = json.loads(comparison_to_json(table))
     assert {"dimension", "variables", "rows", "tests", "letters"} <= set(doc)

@@ -14,7 +14,7 @@ from citemetric.classify import (
     empirical_bounds,
     rank_journals,
 )
-from citemetric.corpus import IbnpCategory
+from citemetric.corpus import IbnpCategory, visible_cites
 from citemetric.errors import DomainError
 from citemetric.indicators import corpus_indicator_sets
 from fixture_corpus import build_fixture_corpus
@@ -23,7 +23,8 @@ GOLDEN = pathlib.Path(__file__).parent / "data" / "table7_top2.md"
 
 
 def _fixture_rows():
-    pairs = corpus_indicator_sets(build_fixture_corpus())
+    corpus = build_fixture_corpus()
+    pairs = corpus_indicator_sets(corpus.journals, visible_cites(corpus))
     return rank_journals(pairs)
 
 
@@ -37,7 +38,8 @@ def _row(rank, h, cpn, title="REVISTA", category=IbnpCategory.B, quartile=None):
 
 
 def test_rank_single_journal():
-    pairs = corpus_indicator_sets(build_fixture_corpus())
+    corpus = build_fixture_corpus()
+    pairs = corpus_indicator_sets(corpus.journals, visible_cites(corpus))
     rows = rank_journals(pairs[:1])
     assert rows[0].rank == 1
 
@@ -59,7 +61,8 @@ def test_equal_h_breaks_ties_by_normalized_citation():
 
 
 def test_missing_cpn_is_an_error():
-    pairs = corpus_indicator_sets(build_fixture_corpus())
+    corpus = build_fixture_corpus()
+    pairs = corpus_indicator_sets(corpus.journals, visible_cites(corpus))
     journal, indicator = pairs[0]
     broken = [(journal, indicator._replace(cpn=None))]
     with pytest.raises(DomainError, match="has no normalized citation value"):

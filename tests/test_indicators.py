@@ -14,6 +14,7 @@ from citemetric.corpus import (
     JournalRecord,
     Library,
     filter_by_area,
+    visible_cites,
 )
 from citemetric.errors import DomainError
 from citemetric.indicators import (
@@ -321,7 +322,8 @@ PINNED_SUMMARIES = {
 
 @pytest.mark.parametrize("label", sorted(PINNED_SUMMARIES))
 def test_summarize_group_keeps_its_bits_on_each_fixture_category(label):
-    pairs = corpus_indicator_sets(build_fixture_corpus())
+    corpus = build_fixture_corpus()
+    pairs = corpus_indicator_sets(corpus.journals, visible_cites(corpus))
     sets = [s for j, s in pairs if j.category.value == label]
     assert repr(summarize_group(sets, label)) == PINNED_SUMMARIES[label]
 
@@ -335,7 +337,7 @@ def test_summarize_group_keeps_its_bits_with_a_journal_of_no_production():
     journals = tuple(
         j._replace(air_ibnp=production.get(j.journal_id, j.air_ibnp)) for j in corpus.journals
     )
-    pairs = corpus_indicator_sets(corpus._replace(journals=journals))
+    pairs = corpus_indicator_sets(journals, visible_cites(corpus))
     sets = [s for j, s in pairs if j.journal_id in production]
     assert sets[0].air_ibnp == 0
     assert repr(summarize_group(sets, "A2")) == (
@@ -366,7 +368,7 @@ def test_corpus_indicator_sets_match_a_per_journal_scan():
     areas = {journal.area for journal, _ in expected}
     stats = {a: area_mean_citation([s for j, s in expected if j.area is a]) for a in areas}
     expected = [(j, s._replace(cpn=cpn(s, stats[j.area]))) for j, s in expected]
-    assert corpus_indicator_sets(corpus) == expected
+    assert corpus_indicator_sets(corpus.journals, visible_cites(corpus)) == expected
 
 
 def _with_sociales_copies(corpus, journal_fields, article_fields):
@@ -391,13 +393,14 @@ def _with_sociales_copies(corpus, journal_fields, article_fields):
 
 def _ciencias_pairs_are_the_ciencias_only_pass(corpus, pairs):
     ciencias = [(j, s) for j, s in pairs if j.area is Area.CIENCIAS]
-    assert ciencias == corpus_indicator_sets(filter_by_area(corpus, Area.CIENCIAS))
+    ciencias_only = filter_by_area(corpus, Area.CIENCIAS)
+    assert ciencias == corpus_indicator_sets(ciencias_only.journals, visible_cites(ciencias_only))
     assert all(s.cpn is not None for _, s in ciencias)
 
 
 def test_an_area_without_registry_production_gets_no_cpn():
     corpus = _with_sociales_copies(build_fixture_corpus(), {"air_ibnp": 0}, {})
-    pairs = corpus_indicator_sets(corpus)
+    pairs = corpus_indicator_sets(corpus.journals, visible_cites(corpus))
     sociales = [s for j, s in pairs if j.area is Area.CIENCIAS_SOCIALES]
     assert len(sociales) == 17
     assert all(s.ca_mean is None and s.cpn is None for s in sociales)
@@ -407,7 +410,7 @@ def test_an_area_without_registry_production_gets_no_cpn():
 
 def test_an_area_without_citations_keeps_cpn_unset():
     corpus = _with_sociales_copies(build_fixture_corpus(), {}, {"cites": 0})
-    pairs = corpus_indicator_sets(corpus)
+    pairs = corpus_indicator_sets(corpus.journals, visible_cites(corpus))
     sociales = [s for j, s in pairs if j.area is Area.CIENCIAS_SOCIALES]
     assert len(sociales) == 17
     assert all(s.ca_mean == 0.0 and s.cpn is None for s in sociales)
@@ -415,7 +418,7 @@ def test_an_area_without_citations_keeps_cpn_unset():
         assert area_mean_citation(sociales, mode=mode) == 0.0
         assert all(
             s.cpn is None
-            for j, s in corpus_indicator_sets(corpus, mode)
+            for j, s in corpus_indicator_sets(corpus.journals, visible_cites(corpus), mode)
             if j.area is Area.CIENCIAS_SOCIALES
         )
     _ciencias_pairs_are_the_ciencias_only_pass(corpus, pairs)

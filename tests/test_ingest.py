@@ -1,8 +1,11 @@
 import json
 import pathlib
+import tempfile
 import tracemalloc
+from unittest import mock
 
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from citemetric.corpus import (
     Area,
@@ -12,7 +15,9 @@ from citemetric.corpus import (
     JournalCorpus,
     Library,
     validate_corpus,
+    visible_cites,
 )
+from citemetric import ingest
 from citemetric.errors import BadCell, DomainError, MalformedCorpus
 from citemetric.ingest import (
     REGISTRY_HEADER,
@@ -21,11 +26,13 @@ from citemetric.ingest import (
     corpus_from_json,
     corpus_to_json,
     deduplicate,
+    journal_cites_from_json,
     parse_alias_file,
     parse_citation_export,
     parse_registry,
 )
 from fixture_corpus import bench_module, build_fixture_corpus, registry_csv
+from test_cli import test_malformed_corpus_json_is_a_one_line_data_error as _cli_damage_test
 
 EXPORT_HEADER = "cites,authors,title,year,publication,publisher,url"
 BUNDLED_CORPUS = pathlib.Path(__file__).parent.parent / "fixtures" / "ciencias_table7.json"
@@ -440,3 +447,99 @@ def test_corpus_loads_share_no_field_value_object():
                 assert value is not getattr(b, field), field
                 checked += 1
     assert checked > len(first.articles)
+
+
+# --- the analysis commands' reader ------------------------------------------------
+
+
+def _forms(text):
+    """A corpus document as text, as bytes, and each with a byte-order mark."""
+    data = text.encode("utf-8")
+    return [text, data, "\ufeff" + text, b"\xef\xbb\xbf" + data]
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, phases=[Phase.generate])
+@given(seed=st.integers(0, 2**32 - 1), journals=st.integers(6, 30))
+def test_journal_cites_are_the_loaded_corpus_journals_and_visible_cites(seed, journals):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = pathlib.Path(tmp)
+        bench_module("workloads").write_corpus_input(seed, root, journals=journals, articles=(1, 12))
+        text = (root / "corpus.json").read_text(encoding="utf-8")
+    corpus = corpus_from_json(text)
+    expected = (corpus.journals, visible_cites(corpus))
+    # a document corpus_from_json accepts is read without it
+    with mock.patch.object(ingest, "corpus_from_json", side_effect=AssertionError("handed over")):
+        for content in _forms(text):
+            assert journal_cites_from_json(content) == expected
+
+
+def test_journal_cites_hold_no_article_record(tmp_path):
+    """Only the journals and their cites outlive the read: on a 2,400-article
+    bench corpus they take 0.07x the text's length, where corpus_from_json's
+    records take 1.66x, and the read's peak stays below a quarter of it."""
+    bench_module("workloads").write_corpus_input(3, tmp_path, journals=60, articles=(20, 60))
+    text = (tmp_path / "corpus.json").read_text(encoding="utf-8")
+    tracemalloc.start()
+    try:
+        journals, cites = journal_cites_from_json(text)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(journals) == 60 and sum(map(len, cites.values())) > 2000
+    assert retained < 0.1 * len(text)
+    assert peak < 0.25 * len(text)
+
+
+_DAMAGE = [damage for damage, _says in _cli_damage_test.pytestmark[0].args[1]]
+
+
+@pytest.mark.parametrize("damage", _DAMAGE, ids=[damage.__name__ for damage in _DAMAGE])
+def test_journal_cites_refuse_a_damaged_corpus_as_the_corpus_load_does(damage):
+    doc = json.loads(BUNDLED_CORPUS.read_text(encoding="utf-8"))
+    content = damage(doc)
+    content = json.dumps(doc).encode("utf-8") if content is None else content
+    with pytest.raises(MalformedCorpus) as expected:
+        corpus_from_json(content)
+    with pytest.raises(MalformedCorpus) as got:
+        journal_cites_from_json(content)
+    assert str(got.value) == str(expected.value)
+
+
+def _with_extra_article(doc):
+    doc["extra"] = dict(doc["articles"][3], cites=1000)
+
+
+def _with_article_inside_an_article(doc):
+    doc["articles"][3]["extra"] = dict(doc["articles"][4], cites=1000)
+
+
+def _with_null_entry_and_extra_article(doc):
+    # as many articles read as the array has entries, but one entry is null
+    _with_extra_article(doc)
+    doc["articles"][0] = None
+
+
+@pytest.mark.parametrize(
+    "damage, loads",
+    [
+        (_with_extra_article, True),
+        (_with_article_inside_an_article, True),
+        (_with_null_entry_and_extra_article, False),
+    ],
+)
+def test_an_article_outside_the_articles_array_reads_as_the_corpus_load_does(damage, loads):
+    """corpus_from_json ignores keys it does not know, so an article-shaped
+    object under one loads without its cites joining any journal."""
+    doc = json.loads(BUNDLED_CORPUS.read_text(encoding="utf-8"))
+    damage(doc)
+    text = json.dumps(doc)
+    if loads:
+        corpus = corpus_from_json(text)
+        assert 1000 not in [c for cites in visible_cites(corpus).values() for c in cites]
+        assert journal_cites_from_json(text) == (corpus.journals, visible_cites(corpus))
+    else:
+        with pytest.raises(MalformedCorpus) as expected:
+            corpus_from_json(text)
+        with pytest.raises(MalformedCorpus) as got:
+            journal_cites_from_json(text)
+        assert str(got.value) == str(expected.value)

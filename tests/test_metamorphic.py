@@ -148,3 +148,30 @@ def test_another_area_and_rows_outside_the_window_change_no_ciencias_output(
 
     outputs = _outputs(corpus, root, CIENCIAS)
     assert outputs == {name: bundled[name] for name, _ in CIENCIAS}
+
+
+@_EXAMPLES
+@given(order=st.permutations(range(83)), prefix=st.sampled_from(["", "x", "revista-"]))
+def test_renaming_journal_ids_changes_only_the_id_column(
+    tmp_path_factory, tree, bundled, order, prefix
+):
+    """Journal i takes the id of journal order[i], with a prefix, in its
+    registry row and in its export's file name: ids may swap between
+    journals, so the cites must follow each journal by its new id."""
+    root = tmp_path_factory.mktemp("renamed")
+    header, *rows = _read_csv(tree / "registry.csv")
+    renamed = {row[0]: prefix + rows[i][0] for row, i in zip(rows, order)}
+    _write_csv(root / "registry.csv", [header] + [[renamed[row[0]], *row[1:]] for row in rows])
+    (root / "records").mkdir()
+    for old, new in renamed.items():
+        shutil.copyfile(tree / "records" / f"{old}.csv", root / "records" / f"{new}.csv")
+    corpus = _ingest(root)
+
+    outputs = _outputs(corpus, root, CLASSIFY + CIENCIAS[:1])
+    for name, _ in CLASSIFY:
+        assert outputs[name] == bundled[name], name
+    got = _read_csv(root / "ciencias_indicators.csv")
+    want = list(csv.reader(io.StringIO(bundled["ciencias_indicators.csv"].decode("utf-8"))))
+    assert got[0] == want[0]
+    assert [row[1:] for row in got[1:]] == [row[1:] for row in want[1:]]
+    assert [row[0] for row in got[1:]] == [renamed[row[0]] for row in want[1:]]
