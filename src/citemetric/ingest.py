@@ -587,15 +587,12 @@ def _scalar_fault(where: str, name: str, value, expected: str) -> TypeError:
     return TypeError(f"{where}: {name} is {type(value).__name__}, not {expected}")
 
 
-def _article(a, index, share) -> ArticleRecord:
+def _article(a, index) -> ArticleRecord:
     """Build one article record of a corpus JSON document, checking its fields.
 
     ``type(...) is int`` refuses ``bool``, which is an ``int`` subclass. The
     record is built by ``tuple.__new__``, skipping the keyword handling of
     ``ArticleRecord``'s own constructor, once per article of a large corpus.
-    ``share(value, value)`` returns the load's one object equal to a checked
-    ``journal_id`` or ``year``: every article of a journal holds its id, and
-    a year is one of the window's few values.
     """
     journal_id, year, cites = a["journal_id"], a["year"], a["cites"]
     title = a["title"]
@@ -621,7 +618,6 @@ def _article(a, index, share) -> ArticleRecord:
         raise _scalar_fault(f"article {index}", "url", url, "str")
     # an unknown value gets the enum's own ValueError
     status = _STATUS_BY_VALUE.get(a["status"]) or ArticleStatus(a["status"])
-    journal_id, year = share(journal_id, journal_id), share(year, year)
     return tuple.__new__(
         ArticleRecord, (journal_id, title, year, cites, authors, publication, publisher, url, status)
     )
@@ -640,11 +636,25 @@ def _parse(content, object_hook):
         raise MalformedCorpus("corpus JSON is nested too deeply") from None
 
 
+def _entries(doc, section: str, entry: str):
+    """``(index, object)`` for each entry of the list ``doc[section]``,
+    refusing a section or an entry of another JSON type."""
+    entries = doc[section]
+    if type(entries) is not list:
+        raise TypeError(f"expected a list, got {type(entries).__name__}")
+    for index, obj in enumerate(entries):
+        if type(obj) is not dict:
+            raise TypeError(f"{entry} {index} is {type(obj).__name__}, not dict")
+        yield index, obj
+
+
 def _journal_rows(doc) -> list:
     """The journals section's fields, checked, one tuple per journal."""
+    if type(doc) is not dict:
+        raise MalformedCorpus(f"corpus JSON is {type(doc).__name__}, not dict")
     with _section("journals"):
         rows = []
-        for index, j in enumerate(doc["journals"]):
+        for index, j in _entries(doc, "journals", "journal"):
             journal_id, title, memberships = j["journal_id"], j["title"], j["memberships"]
             if type(journal_id) is not str:
                 raise _scalar_fault(f"journal {index}", "journal_id", journal_id, "str")
@@ -691,49 +701,25 @@ def _journals_and_window(doc, rows) -> Tuple[Tuple[JournalRecord, ...], Tuple[in
 def corpus_from_json(content) -> JournalCorpus:
     """Read the document :func:`corpus_to_json` writes.
 
-    A document of another shape (a missing key, a list where an object
-    belongs, an unknown area, category, library or status, a journal id,
-    title, year, cites, ibnp total or article text field of the wrong type,
-    memberships that are not a list of distinct libraries, ibnp totals that
-    are not an object keyed by exactly the journals' ids, or a window that is
-    not two int years in order) raises :class:`MalformedCorpus` naming the
-    section it was found in. So does a well-formed document that :func:`validate_corpus`
-    finds fault with, naming its first violation, a document nested
-    deeper than the JSON parser can recurse, bytes that are not UTF-8 and
-    text that is not JSON.
+    A document of another shape (a missing key, a document, section or entry
+    of the wrong JSON type, an unknown area, category, library or status, a
+    journal id, title, year, cites, ibnp total or article text field of the
+    wrong type, memberships that are not a list of distinct libraries, ibnp
+    totals that are not an object keyed by exactly the journals' ids, or a
+    window that is not two int years in order) raises :class:`MalformedCorpus`
+    naming the section it was found in. So does a well-formed document that
+    :func:`validate_corpus` finds fault with, naming its first violation, a
+    document nested deeper than the JSON parser can recurse, bytes that are
+    not UTF-8 and text that is not JSON.
 
     ``content`` is the document's text or its UTF-8 bytes; given text, the
     caller can free the bytes before the parse. One leading byte-order mark
-    is skipped, from text as from bytes. Each article becomes its
-    record as soon as the parser has read it, so the parsed objects of a
-    large corpus never exist all at once: at its peak a load holds the text
-    plus one record per article. The records of a load share one object per
-    distinct ``journal_id`` and ``year`` value, through a table that is gone
-    when the call returns.
+    is skipped, from text as from bytes.
     """
-    # one object per distinct journal id and year, for this load only
-    share = {}.setdefault
-
-    def article_or_object(obj: dict):
-        # a well-formed article becomes its record; any other object (a
-        # journal, ibnp_totals, the document, a faulty article) comes back
-        # unchanged, and the articles section reports faults
-        try:
-            return _article(obj, None, share)
-        except (KeyError, TypeError, ValueError):
-            return obj
-
-    doc = _parse(content, article_or_object)
+    doc = _parse(content, None)
     rows = _journal_rows(doc)
     with _section("articles"):
-        # the hook built the well-formed articles; building any other entry
-        # again raises its fault, named by its index
-        articles = tuple(
-            [
-                a if type(a) is ArticleRecord else _article(a, index, share)
-                for index, a in enumerate(doc["articles"])
-            ]
-        )
+        articles = tuple(_article(a, index) for index, a in _entries(doc, "articles", "article"))
     journals, window = _journals_and_window(doc, rows)
     corpus = JournalCorpus(journals=journals, articles=articles, window=window)
     violations = validate_corpus(corpus)
@@ -761,7 +747,6 @@ def journal_cites_from_json(content) -> Tuple[Tuple[JournalRecord, ...], dict[st
     without title or year or dated outside the window, an article of no
     journal, or a journal :func:`validate_corpus` refuses.
     """
-    share = {}.setdefault
     cites: dict[str, list[int]] = {}
     journal_ids, visible_years = set(), set()
     read = 0
@@ -770,7 +755,7 @@ def journal_cites_from_json(content) -> Tuple[Tuple[JournalRecord, ...], dict[st
     def cites_or_object(obj: dict):
         nonlocal read, faulty
         try:
-            article = _article(obj, None, share)
+            article = _article(obj, None)
         except (KeyError, TypeError, ValueError):
             return obj
         read += 1

@@ -763,7 +763,31 @@ def _bare_article_document(doc):
     doc.update(article)
 
 
-# these two write bytes of their own in place of the damaged document
+def _article_as_ibnp_total(doc):
+    doc["ibnp_totals"]["sci001"] = dict(doc["articles"][0])
+
+
+def _article_in_window(doc):
+    doc["window"][0] = dict(doc["articles"][0])
+
+
+def _journals_as_object(doc):
+    doc["journals"] = {journal["journal_id"]: journal for journal in doc["journals"]}
+
+
+def _journal_as_string(doc):
+    doc["journals"][1] = "sci002"
+
+
+def _article_as_list(doc):
+    doc["articles"][3] = list(doc["articles"][3].values())
+
+
+# these write bytes of their own in place of the damaged document
+def _document_as_list(doc):
+    return json.dumps([doc]).encode("utf-8")
+
+
 def _not_json(doc):
     return b'{"window": [2003, 2007],'
 
@@ -777,7 +801,7 @@ def _not_utf8(doc):
     [
         (_without_journals, "missing key 'journals'"),
         (_without_cites, "missing key 'cites'"),
-        (_articles_not_a_list, "'int' object is not iterable"),
+        (_articles_not_a_list, "articles: expected a list, got int"),
         (_unknown_status, "'Bogus' is not a valid ArticleStatus"),
         (_unknown_area, "'Artes' is not a valid Area"),
         (_unknown_library, "'Dialnet' is not a valid Library"),
@@ -808,10 +832,16 @@ def _not_utf8(doc):
         (_blank_journal_title, "corpus JSON is invalid: journal 'sci001' has empty title"),
         (_object_authors, "articles: article 3: authors is dict, not str"),
         (_empty_journal_id, "is invalid: journal with empty journal_id"),
-        # the loader builds article records while it parses, so an article
-        # where a journal or the document belongs is refused as one
-        (_article_among_journals, "journals: "),
-        (_bare_article_document, "journals: "),
+        # an article-shaped object where something else belongs is refused
+        # as what belongs there
+        (_article_among_journals, "journals: missing key 'memberships'"),
+        (_bare_article_document, "journals: missing key 'journals'"),
+        (_article_as_ibnp_total, "ibnp_totals: journal 'sci001': total is dict, not int"),
+        (_article_in_window, "window: expected two int years, got [{'journal_id': 'sci001', "),
+        (_journals_as_object, "corpus JSON journals: expected a list, got dict"),
+        (_journal_as_string, "corpus JSON journals: journal 1 is str, not dict"),
+        (_article_as_list, "corpus JSON articles: article 3 is list, not dict"),
+        (_document_as_list, "corpus JSON is list, not dict"),
         (_not_json, "does not parse: Expecting property name enclosed in double quotes: line 1"),
         # the command decodes the file itself, so the codec names the fault
         (_not_utf8, "'utf-8' codec can't decode byte 0xff in position 0"),

@@ -348,21 +348,6 @@ def test_corpus_json_round_trip_is_the_canonical_form():
     assert corpus_to_json(loaded) == text
 
 
-def _traced_load(tmp_path):
-    """Load a 2,400-article bench corpus under tracemalloc: (text, corpus,
-    memory retained after the load, peak memory during it)."""
-    bench_module("workloads").write_corpus_input(3, tmp_path, journals=60, articles=(20, 60))
-    text = (tmp_path / "corpus.json").read_text(encoding="utf-8")
-    tracemalloc.start()
-    try:
-        corpus = corpus_from_json(text)
-        retained, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(corpus.articles) == 2400
-    return text, corpus, retained, peak
-
-
 @pytest.mark.parametrize(
     "content, says",
     [
@@ -396,57 +381,6 @@ def test_one_byte_order_mark_is_skipped_from_bytes_and_from_text(load, text, mar
     outcome = _outcome(load, text)
     assert outcome == _outcome(load, text.encode("utf-8"))
     assert isinstance(outcome, str) == (marks == 2)
-
-
-def test_loading_corpus_text_holds_no_parsed_copy(tmp_path):
-    """Each article becomes its record as the parser reads it, so the load
-    needs little memory beyond its text and the corpus it returns; parsing
-    whole and then building records held every article twice, ~1.1x the
-    text's length on top of the corpus."""
-    text, _corpus, retained, peak = _traced_load(tmp_path)
-    assert peak - retained < 0.25 * len(text)
-
-
-def test_loaded_corpus_shares_its_journal_ids_and_years(tmp_path):
-    """The records share one object per journal id and year, so the corpus a
-    load returns stays below 1.69x its text's length: 1.49-1.67x on CPython
-    3.10-3.13, against 1.71-1.91x with one object per cell."""
-    text, _corpus, retained, _peak = _traced_load(tmp_path)
-    assert retained < 1.69 * len(text)
-
-
-SHARED_FIELDS = ("journal_id", "year")
-
-
-def test_corpus_load_keeps_one_object_per_journal_id_and_year():
-    """All articles of a journal hold one journal_id object, and equal years
-    are one object."""
-    corpus = corpus_from_json(BUNDLED_CORPUS.read_text(encoding="utf-8"))
-    assert len({a.journal_id for a in corpus.articles}) > 1
-    for field in SHARED_FIELDS:
-        first = {}
-        for article in corpus.articles:
-            value = getattr(article, field)
-            assert first.setdefault(value, value) is value, field
-    # titles are unique by nature and not shared: each article holds its own
-    titles = [a.title for a in corpus.articles]
-    assert len({id(t) for t in titles}) == len(titles)
-
-
-def test_corpus_loads_share_no_field_value_object():
-    """The sharing table lives for one call: a second load of the same text
-    builds its own objects. A missing year is None, a singleton, so it is
-    skipped."""
-    text = BUNDLED_CORPUS.read_text(encoding="utf-8")
-    first, second = corpus_from_json(text), corpus_from_json(text)
-    checked = 0
-    for a, b in zip(first.articles, second.articles, strict=True):
-        for field in SHARED_FIELDS:
-            value = getattr(a, field)
-            if value is not None:
-                assert value is not getattr(b, field), field
-                checked += 1
-    assert checked > len(first.articles)
 
 
 # --- the analysis commands' reader ------------------------------------------------
