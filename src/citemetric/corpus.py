@@ -80,11 +80,14 @@ def _visible_fault(index: int, article: ArticleRecord, fault: str) -> str:
     return f"{_row(index, article)}: {word} record with {fault}"
 
 
-def _journal_violations(journals: Tuple[JournalRecord, ...]) -> list[str]:
-    """The journal rules of :func:`validate_corpus`."""
+def validate_corpus(corpus: JournalCorpus) -> list[str]:
+    """Check every type invariant; return one description per violation.
+
+    Violations are data, not failures: an empty list means the corpus is valid.
+    """
     violations: list[str] = []
     seen: set[str] = set()
-    for journal in journals:
+    for journal in corpus.journals:
         if journal.journal_id in seen:
             violations.append(f"duplicate journal_id {journal.journal_id!r}")
         seen.add(journal.journal_id)
@@ -94,16 +97,6 @@ def _journal_violations(journals: Tuple[JournalRecord, ...]) -> list[str]:
             violations.append(f"journal {journal.journal_id!r} has empty title")
         if journal.air_ibnp < 0:
             violations.append(f"journal {journal.journal_id!r} has negative ibnp total")
-    return violations
-
-
-def validate_corpus(corpus: JournalCorpus) -> list[str]:
-    """Check every type invariant; return one description per violation.
-
-    Violations are data, not failures: an empty list means the corpus is valid.
-    """
-    violations = _journal_violations(corpus.journals)
-    seen = {journal.journal_id for journal in corpus.journals}
     start, end = corpus.window
     for index, article in enumerate(corpus.articles):
         if article.journal_id not in seen:

@@ -102,6 +102,14 @@ def compute_indicator_set(journal: JournalRecord, cites: Sequence[int]) -> Indic
     )
 
 
+MEAN_MODES = ("pooled", "ratios")  # of area_mean_citation
+
+
+def _check_mean_mode(mode: str) -> None:
+    if mode not in MEAN_MODES:
+        raise DomainError(f"unknown area-mean mode {mode!r}")
+
+
 def area_mean_citation(sets: Sequence[IndicatorSet], mode: str = "ratios") -> float:
     """Area-level citations per article.
 
@@ -112,11 +120,10 @@ def area_mean_citation(sets: Sequence[IndicatorSet], mode: str = "ratios") -> fl
     qualifying = [s for s in sets if s.ca_mean is not None]
     if not qualifying:
         raise DomainError("no journal with registry production")
+    _check_mean_mode(mode)
     if mode == "ratios":
         return math.fsum(s.ca_mean for s in qualifying) / len(qualifying)
-    if mode == "pooled":
-        return sum(s.cr_ga for s in qualifying) / sum(s.air_ibnp for s in qualifying)
-    raise DomainError(f"unknown area-mean mode {mode!r}")
+    return sum(s.cr_ga for s in qualifying) / sum(s.air_ibnp for s in qualifying)
 
 
 def cpn(indicator_set: IndicatorSet, area_mean: float) -> float:
@@ -193,8 +200,10 @@ def corpus_indicator_sets(
     :func:`citemetric.corpus.visible_cites` and
     :func:`citemetric.ingest.journal_cites_from_json` return them; a journal
     it does not name has none. The normalized citation index stays unset for
-    journals without a defined rate or for areas where no journal qualifies.
+    journals without a defined rate or for areas where no journal qualifies,
+    and an unknown ``mean_mode`` raises :class:`DomainError` even then.
     """
+    _check_mean_mode(mean_mode)
     pairs = [
         (journal, compute_indicator_set(journal, cites.get(journal.journal_id, ())))
         for journal in journals

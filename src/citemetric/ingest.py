@@ -29,7 +29,6 @@ from .corpus import (
     JournalRecord,
     Library,
     VISIBLE_STATUSES,
-    _journal_violations,
     validate_corpus,
     visible_cites,
 )
@@ -111,9 +110,9 @@ class DedupConfig(NamedTuple):
 
 def _decode(content) -> str:
     """The text of ``content`` (text, or UTF-8 bytes) without one leading
-    byte-order mark, the same one for bytes and for text."""
+    byte-order mark; a decoding error counts bytes from the mark on."""
     if isinstance(content, bytes):
-        return content.decode("utf-8-sig")
+        content = content.decode("utf-8")
     return content.removeprefix("\ufeff")
 
 
@@ -743,49 +742,46 @@ def journal_cites_from_json(content) -> Tuple[Tuple[JournalRecord, ...], dict[st
     A document this cannot vouch for goes to :func:`corpus_from_json`, which
     raises its exact :class:`MalformedCorpus` or gives the pairs from the
     corpus it loads: a fault in any section, an ``articles`` entry left
-    unread, an article outside that array, negative cites, a visible article
-    without title or year or dated outside the window, an article of no
-    journal, or a journal :func:`validate_corpus` refuses.
+    unread (an article that breaks a rule stays unread), an article read
+    outside that array, a visible article dated outside the window, an
+    article of no journal, or a journal :func:`validate_corpus` refuses.
     """
     cites: dict[str, list[int]] = {}
     journal_ids, visible_years = set(), set()
     read = 0
-    faulty = False
 
     def cites_or_object(obj: dict):
-        nonlocal read, faulty
+        nonlocal read
         try:
             article = _article(obj, None)
         except (KeyError, TypeError, ValueError):
             return obj
+        visible = article.status in VISIBLE_STATUSES
+        # an article that breaks a rule stays unread: within ``articles`` that
+        # hands the document over, and elsewhere both readers ignore it
+        if article.cites < 0 or visible and (article.year is None or not article.title.strip()):
+            return obj
         read += 1
         journal_ids.add(article.journal_id)
-        if article.cites < 0:
-            faulty = True
-        if article.status in VISIBLE_STATUSES:
-            if article.year is None or not article.title.strip():
-                faulty = True
-            else:
-                visible_years.add(article.year)
+        if visible:
+            visible_years.add(article.year)
             cites.setdefault(article.journal_id, []).append(article.cites)
         return _READ
 
     try:
         doc = _parse(content, cites_or_object)
-        journals, (start, end) = _journals_and_window(doc, _journal_rows(doc))
+        journals, window = _journals_and_window(doc, _journal_rows(doc))
     except MalformedCorpus:
-        faulty = True
+        pass
     else:
-        articles = doc.get("articles")
-        faulty = (
-            faulty
-            or type(articles) is not list
-            or not read == len(articles) == articles.count(_READ)
-            or any(not start <= year <= end for year in visible_years)
-            or not journal_ids <= {journal.journal_id for journal in journals}
-            or _journal_violations(journals) != []
-        )
-    if faulty:
-        corpus = corpus_from_json(content)
-        return corpus.journals, visible_cites(corpus)
-    return journals, cites
+        articles, (start, end) = doc.get("articles"), window
+        if (
+            type(articles) is list
+            and read == len(articles) == articles.count(_READ)
+            and all(start <= year <= end for year in visible_years)
+            and journal_ids <= {journal.journal_id for journal in journals}
+            and not validate_corpus(JournalCorpus(journals, (), window))
+        ):
+            return journals, cites
+    corpus = corpus_from_json(content)
+    return corpus.journals, visible_cites(corpus)

@@ -198,6 +198,16 @@ def test_area_mean_requires_a_qualifying_journal():
         area_mean_citation([_set(ca_mean=None, air_ibnp=0)])
 
 
+@pytest.mark.parametrize("air_ibnp", [None, 0, 10])
+def test_an_unknown_mean_mode_is_refused_with_or_without_a_rate(air_ibnp):
+    """None stands for no journal at all; air_ibnp 0 leaves the journal without a rate."""
+    journals = [] if air_ibnp is None else [_journal(air_ibnp=air_ibnp)]
+    with pytest.raises(DomainError, match="^unknown area-mean mode 'bogus'$"):
+        corpus_indicator_sets(journals, {"j1": [3, 1]}, "bogus")
+    with pytest.raises(DomainError, match="^unknown area-mean mode 'bogus'$"):
+        area_mean_citation([_set()], mode="bogus")
+
+
 def test_area_mean_is_independent_of_input_order():
     rng = random.Random(19)
     sets = [

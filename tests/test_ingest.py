@@ -95,9 +95,20 @@ def test_a_bad_registry_row_is_a_bad_cell_on_its_line(row, column, reason):
     [parse_registry, lambda content: parse_citation_export(content, "j1"), parse_alias_file],
     ids=["registry", "export", "alias"],
 )
-@pytest.mark.parametrize("line", [1, 3])
-def test_bytes_that_are_not_utf8_are_a_bad_cell_on_their_line(parse, line):
-    content = b"header\r\n" * (line - 1) + b"caf\xe9\n"
+@pytest.mark.parametrize(
+    "content, line",
+    [
+        pytest.param(b"caf\xe9\n", 1, id="1"),
+        pytest.param(b"header\r\n" * 2 + b"caf\xe9\n", 3, id="3"),
+        # after a byte-order mark, the line still counts from the file's first byte
+        pytest.param(b"\xef\xbb\xbfheader\n\xe9\n", 2, id="mark-then-bad-first-byte"),
+        pytest.param(
+            b"\xef\xbb\xbfheader\n" + "\u00e9ab".encode("utf-8") + b"\xe9\n", 2,
+            id="mark-then-bad-byte-after-two-byte-char",
+        ),
+    ],
+)
+def test_bytes_that_are_not_utf8_are_a_bad_cell_on_their_line(parse, content, line):
     with pytest.raises(BadCell) as info:
         parse(content)
     assert (info.value.line, info.value.column) == (line, "*")
@@ -447,6 +458,12 @@ def _with_article_inside_an_article(doc):
     doc["articles"][3]["extra"] = dict(doc["articles"][4], cites=1000)
 
 
+def _with_faulty_extra_article(doc):
+    # the reader leaves an article with negative cites unread, so it reads
+    # this document without handing it over
+    doc["extra"] = dict(doc["articles"][3], cites=-1)
+
+
 def _with_null_entry_and_extra_article(doc):
     # as many articles read as the array has entries, but one entry is null
     _with_extra_article(doc)
@@ -459,6 +476,7 @@ def _with_null_entry_and_extra_article(doc):
         (_with_extra_article, True),
         (_with_article_inside_an_article, True),
         (_with_null_entry_and_extra_article, False),
+        (_with_faulty_extra_article, True),
     ],
 )
 def test_an_article_outside_the_articles_array_reads_as_the_corpus_load_does(damage, loads):
@@ -471,6 +489,10 @@ def test_an_article_outside_the_articles_array_reads_as_the_corpus_load_does(dam
         corpus = corpus_from_json(text)
         assert 1000 not in [c for cites in visible_cites(corpus).values() for c in cites]
         assert journal_cites_from_json(text) == (corpus.journals, visible_cites(corpus))
+        if damage is _with_faulty_extra_article:
+            handed_over = AssertionError("handed over")
+            with mock.patch.object(ingest, "corpus_from_json", side_effect=handed_over):
+                assert journal_cites_from_json(text) == (corpus.journals, visible_cites(corpus))
     else:
         with pytest.raises(MalformedCorpus) as expected:
             corpus_from_json(text)
