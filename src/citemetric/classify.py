@@ -70,18 +70,8 @@ def assign_quartiles(
     q1, q2, q3 = bounds
     if not (q1 >= q2 >= q3):
         raise DomainError(f"quartile cuts must be non-increasing, got {bounds}")
-    out = []
-    for row in rows:
-        if row.h >= q1:
-            quartile = 1
-        elif row.h >= q2:
-            quartile = 2
-        elif row.h >= q3:
-            quartile = 3
-        else:
-            quartile = 4
-        out.append(row._replace(quartile=quartile))
-    return out
+    # 1 + the cuts above h: an h equal to a cut lands above it
+    return [row._replace(quartile=1 + sum(row.h < cut for cut in bounds)) for row in rows]
 
 
 REPORT_COLUMNS = ClassificationRow._fields

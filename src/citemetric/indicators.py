@@ -223,12 +223,8 @@ def corpus_indicator_sets(
     return out
 
 
-def _cell(value, decimals: int = 4) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, int):
-        return str(value)
-    return f"{value:.{decimals}f}"
+def _cell(value: Optional[float]) -> str:
+    return "" if value is None else f"{value:.4f}"
 
 
 _CSV_QUOTED = frozenset(',"\r\n')

@@ -543,9 +543,6 @@ def build_corpus(
 
 # --- corpus JSON -----------------------------------------------------------
 
-_LIBRARY_ORDER = list(Library)
-
-
 # a plain lookup is several times cheaper than ArticleStatus(value) per article
 _STATUS_BY_VALUE = {s.value: s for s in ArticleStatus}
 
@@ -571,7 +568,7 @@ def corpus_to_json(corpus: JournalCorpus) -> str:
                 "title": j.title,
                 "area": j.area.value,
                 "category": j.category.value,
-                "memberships": [t.value for t in _LIBRARY_ORDER if t in j.memberships],
+                "memberships": [t.value for t in Library if t in j.memberships],
             }
             for j in corpus.journals
         ],
@@ -647,8 +644,9 @@ def _entries(doc, section: str, entry: str):
         yield index, obj
 
 
-def _journal_rows(doc) -> list:
-    """The journals section's fields, checked, one tuple per journal."""
+def _journals_and_window(doc) -> Tuple[Tuple[JournalRecord, ...], Tuple[int, int]]:
+    """The journal records of ``doc``'s journals and ibnp_totals sections,
+    checked, and its window."""
     if type(doc) is not dict:
         raise MalformedCorpus(f"corpus JSON is {type(doc).__name__}, not dict")
     with _section("journals"):
@@ -667,11 +665,6 @@ def _journal_rows(doc) -> list:
             if len(libraries) < len(memberships):
                 raise ValueError(f"journal {index}: memberships repeat a library: {memberships!r}")
             rows.append((journal_id, title, area, category, libraries))
-    return rows
-
-
-def _journals_and_window(doc, rows) -> Tuple[Tuple[JournalRecord, ...], Tuple[int, int]]:
-    """The journal records of ``rows`` with their ibnp totals, and the window."""
     with _section("ibnp_totals"):
         totals = doc["ibnp_totals"]
         if type(totals) is not dict:
@@ -716,10 +709,9 @@ def corpus_from_json(content) -> JournalCorpus:
     is skipped, from text as from bytes.
     """
     doc = _parse(content, None)
-    rows = _journal_rows(doc)
+    journals, window = _journals_and_window(doc)
     with _section("articles"):
         articles = tuple(_article(a, index) for index, a in _entries(doc, "articles", "article"))
-    journals, window = _journals_and_window(doc, rows)
     corpus = JournalCorpus(journals=journals, articles=articles, window=window)
     violations = validate_corpus(corpus)
     if violations:
@@ -770,7 +762,7 @@ def journal_cites_from_json(content) -> Tuple[Tuple[JournalRecord, ...], dict[st
 
     try:
         doc = _parse(content, cites_or_object)
-        journals, window = _journals_and_window(doc, _journal_rows(doc))
+        journals, window = _journals_and_window(doc)
     except MalformedCorpus:
         pass
     else:

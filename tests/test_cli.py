@@ -350,10 +350,15 @@ def test_alpha_and_top_out_of_range_exit_with_usage_error(tmp_path, capsys):
     cases += [(["classify", *corpus], "--top", v) for v in tops]
     out = tmp_path / "out"
     for command, flag, value in cases:
-        with pytest.raises(SystemExit) as info:
-            main(command + [f"{flag}={value}", "--out", str(out)])
-        assert info.value.code == 2, (command[0], flag, value)
-        assert flag in capsys.readouterr().err
+        # the fast argv reader refuses "--flag=value" outright and "--flag value"
+        # at its type or leading-dash check; argparse then reports the failure
+        for spelling in ([f"{flag}={value}"], [flag, value]):
+            argv = command + spelling + ["--out", str(out)]
+            assert _read_argv(argv) is None, argv
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 2, argv
+            assert flag in capsys.readouterr().err
     assert not out.exists()
     assert main(correlate + ["--alpha", "0.01", "--out", str(out)]) == 0
     assert main(["classify", *corpus, "--top", "1", "--out", str(out)]) == 0
@@ -430,21 +435,14 @@ def test_outputs_get_the_mode_a_plain_open_would_give(tmp_path, umask, mode):
 @pytest.mark.parametrize("threshold", ["1.5", "0", "-0.1", "nan", "inf", "high", "0.9_2", "٠.٩"])
 def test_bad_title_threshold_exits_with_usage_error(tmp_path, threshold, capsys):
     out = tmp_path / "corpus.json"
-    with pytest.raises(SystemExit) as info:
-        main(
-            [
-                "ingest",
-                "--registry",
-                str(tmp_path / "registry.csv"),
-                "--records-dir",
-                str(tmp_path),
-                f"--title-threshold={threshold}",
-                "--out",
-                str(out),
-            ]
-        )
-    assert info.value.code == 2
-    assert "--title-threshold" in capsys.readouterr().err
+    inputs = ["--registry", str(tmp_path / "registry.csv"), "--records-dir", str(tmp_path)]
+    for spelling in ([f"--title-threshold={threshold}"], ["--title-threshold", threshold]):
+        argv = ["ingest", *inputs, *spelling, "--out", str(out)]
+        assert _read_argv(argv) is None
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "--title-threshold" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -694,6 +692,12 @@ def _reversed_window(doc):
     doc["window"] = [2007, 2003]
 
 
+def _string_cites_and_reversed_window(doc):
+    # both readers check the journal sections before any article
+    _string_cites(doc)
+    _reversed_window(doc)
+
+
 def _null_kept_title(doc):
     article = next(a for a in doc["articles"] if a["status"] == "Kept")
     article["title"] = None
@@ -819,6 +823,7 @@ def _not_utf8(doc):
         (_string_window, "window: expected two int years, got ['2003', '2007']"),
         (_three_year_window, "window: expected two int years, got [2003, 2005, 2007]"),
         (_reversed_window, "window: start 2007 is after end 2003"),
+        (_string_cites_and_reversed_window, "corpus JSON window: start 2007 is after end 2003"),
         (_null_kept_title, "articles: article 0: title is NoneType, not str"),
         (_number_journal_title, "journals: journal 0: title is int, not str"),
         (_number_url, "articles: article 3: url is int, not str"),
