@@ -70,7 +70,6 @@ def assign_quartiles(
     q1, q2, q3 = bounds
     if not (q1 >= q2 >= q3):
         raise DomainError(f"quartile cuts must be non-increasing, got {bounds}")
-    # 1 + the cuts above h: an h equal to a cut lands above it
     return [row._replace(quartile=1 + sum(row.h < cut for cut in bounds)) for row in rows]
 
 
