@@ -106,7 +106,6 @@ def _complete_rows(pairs: Pairs, names: Sequence[str]) -> list[list[float]]:
 
 def compare_groups(
     pairs: Pairs,
-    area: Area,
     dimension: GroupDimension,
     variables: Sequence[str] = DEFAULT_COMPARE_VARIABLES,
     method: str = "anova",
@@ -117,7 +116,8 @@ def compare_groups(
     Library groups overlap: a journal contributes to every library it belongs
     to. Groups below two journals are excluded and reported as such. Letters
     are always computed on the plain variable values, whichever omnibus test
-    runs. ``area`` only labels the table.
+    runs. The table's area is its journals' area; journals of both areas
+    raise :class:`DomainError`.
     """
     dimension = GroupDimension(dimension)
     names = _distinct(variables)
@@ -140,6 +140,9 @@ def compare_groups(
     excluded = tuple((label, f"n={len(sets)}") for label, sets in grouped if len(sets) < 2)
     if len(included) < 2:
         raise DomainError("fewer than two groups with at least two journals")
+    area, *other_areas = {j.area for j, _ in pairs}
+    if other_areas:
+        raise DomainError("the journals are of both areas; compare one area at a time")
 
     rows = tuple(summarize_group(sets, label) for label, sets in included)
 

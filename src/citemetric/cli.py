@@ -45,7 +45,6 @@ from types import SimpleNamespace
 from typing import Optional, Sequence, Tuple
 
 from . import ingest
-# filter_by_area goes unused here; bench/spans.py wraps it by name
 from .corpus import Area, filter_by_area
 from .errors import CitemetricError, DomainError
 from .ingest import _INTEGER, DedupConfig
@@ -133,8 +132,8 @@ def _reading(path):
 
 def _area_pairs(args, mean_mode: str = "ratios"):
     """Read --corpus's journals and visible cites, keep --area's journals if
-    one is given, and compute indicators. An --area without a journal in the
-    corpus is a data error."""
+    one is given, and compute indicators. No journal left to read is a data
+    error."""
     from . import indicators
 
     with _reading(args.corpus):
@@ -145,10 +144,10 @@ def _area_pairs(args, mean_mode: str = "ratios"):
             Path(args.corpus).read_bytes().decode("utf-8")
         )
     if args.area:
-        area = _AREAS[args.area]
-        journals = tuple(j for j in journals if j.area is area)
-        if not journals:
-            raise DomainError(f"the corpus holds no journal of area {args.area!r}")
+        journals = filter_by_area(journals, _AREAS[args.area])
+    if not journals:
+        of_area = f" of area {args.area!r}" if args.area else ""
+        raise DomainError(f"the corpus holds no journal{of_area}")
     return indicators.corpus_indicator_sets(journals, cites, mean_mode=mean_mode)
 
 
@@ -192,7 +191,6 @@ def _run_compare(args) -> str:
     variables = analysis.DEFAULT_COMPARE_VARIABLES if args.vars is None else _variables(args.vars)
     table = analysis.compare_groups(
         _area_pairs(args),
-        _AREAS[args.area],
         analysis.GroupDimension(args.by),
         variables=variables,
         method=args.method,

@@ -7,7 +7,7 @@ threads. Serialization lives in :mod:`citemetric.ingest`.
 from __future__ import annotations
 
 from enum import Enum
-from typing import NamedTuple, Optional, Tuple
+from typing import Iterable, NamedTuple, Optional, Tuple
 
 DEFAULT_WINDOW: Tuple[int, int] = (2003, 2007)
 
@@ -111,15 +111,9 @@ def validate_corpus(corpus: JournalCorpus) -> list[str]:
     return violations
 
 
-def filter_by_area(corpus: JournalCorpus, area: Area) -> JournalCorpus:
-    """Restrict the corpus to one knowledge area, keeping the window."""
-    journals = tuple(j for j in corpus.journals if j.area is area)
-    kept_ids = {j.journal_id for j in journals}
-    return JournalCorpus(
-        journals=journals,
-        articles=tuple(a for a in corpus.articles if a.journal_id in kept_ids),
-        window=corpus.window,
-    )
+def filter_by_area(journals: Iterable[JournalRecord], area: Area) -> Tuple[JournalRecord, ...]:
+    """The journals of one knowledge area, in order."""
+    return tuple(j for j in journals if j.area is area)
 
 
 def visible_cites(corpus: JournalCorpus) -> dict[str, list[int]]:

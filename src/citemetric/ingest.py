@@ -612,8 +612,11 @@ def _article(a, index) -> ArticleRecord:
         raise _scalar_fault(f"article {index}", "publisher", publisher, "str")
     if type(url) is not str:
         raise _scalar_fault(f"article {index}", "url", url, "str")
-    # an unknown value gets the enum's own ValueError
-    status = _STATUS_BY_VALUE.get(a["status"]) or ArticleStatus(a["status"])
+    # an unknown value, or one of another JSON type, gets the enum's own ValueError
+    try:
+        status = _STATUS_BY_VALUE[a["status"]]
+    except (KeyError, TypeError):
+        status = ArticleStatus(a["status"])
     return tuple.__new__(
         ArticleRecord, (journal_id, title, year, cites, authors, publication, publisher, url, status)
     )

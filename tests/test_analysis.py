@@ -78,7 +78,6 @@ def test_compare_excludes_single_journal_library():
     corpus = build_fixture_corpus()
     table = compare_groups(
         corpus_indicator_sets(corpus.journals, visible_cites(corpus)),
-        Area.CIENCIAS,
         GroupDimension.BY_LIBRARY,
         method="anova",
     )
@@ -93,14 +92,14 @@ def test_compare_single_category_corpus_has_no_groups():
         (f"j{i}", IbnpCategory.B, {Library.GOOGLE_SCHOLAR}, 50, [3, 1]) for i in range(6)
     ]
     with pytest.raises(DomainError, match="fewer than two groups with at least two journals"):
-        compare_groups(make_pairs(specs), Area.CIENCIAS, GroupDimension.BY_CATEGORY)
+        compare_groups(make_pairs(specs), GroupDimension.BY_CATEGORY)
 
 
 def test_compare_refuses_an_unknown_method():
     corpus = build_fixture_corpus()
     pairs = corpus_indicator_sets(corpus.journals, visible_cites(corpus))
     with pytest.raises(DomainError, match="unknown method 'x'; use 'anova' or 'kw'"):
-        compare_groups(pairs, Area.CIENCIAS, GroupDimension.BY_CATEGORY, method="x")
+        compare_groups(pairs, GroupDimension.BY_CATEGORY, method="x")
 
 
 def test_compare_refuses_a_variable_defined_in_one_group():
@@ -112,7 +111,7 @@ def test_compare_refuses_a_variable_defined_in_one_group():
     ]
     pairs = make_pairs(specs)
     with pytest.raises(DomainError, match="'ca_mean' is defined in fewer than two groups"):
-        compare_groups(pairs, Area.CIENCIAS, GroupDimension.BY_CATEGORY, variables=["ca_mean"])
+        compare_groups(pairs, GroupDimension.BY_CATEGORY, variables=["ca_mean"])
 
 
 def _category_separation_pairs():
@@ -137,7 +136,6 @@ def _category_separation_pairs():
 def test_compare_category_letters_split_high_and_low():
     table = compare_groups(
         _category_separation_pairs(),
-        Area.CIENCIAS,
         GroupDimension.BY_CATEGORY,
         variables=["cr_ga_log10"],
         method="anova",
@@ -151,7 +149,6 @@ def test_compare_category_letters_split_high_and_low():
 def test_compare_rank_based_method_reports_h_statistic():
     table = compare_groups(
         _category_separation_pairs(),
-        Area.CIENCIAS,
         GroupDimension.BY_CATEGORY,
         variables=["cr_ga_log10"],
         method="kw",
@@ -165,7 +162,7 @@ def test_compare_rank_based_method_reports_h_statistic():
 def test_compare_rows_match_standalone_summaries():
     corpus = build_fixture_corpus()
     pairs = corpus_indicator_sets(corpus.journals, visible_cites(corpus))
-    table = compare_groups(pairs, Area.CIENCIAS, GroupDimension.BY_CATEGORY)
+    table = compare_groups(pairs, GroupDimension.BY_CATEGORY)
     for row in table.rows:
         members = [s for j, s in pairs if j.category.value == row.label]
         standalone = summarize_group(members, row.label)
@@ -175,9 +172,22 @@ def test_compare_rows_match_standalone_summaries():
 def test_compare_library_groups_overlap():
     corpus = build_fixture_corpus()
     pairs = corpus_indicator_sets(corpus.journals, visible_cites(corpus))
-    table = compare_groups(pairs, Area.CIENCIAS, GroupDimension.BY_LIBRARY)
+    table = compare_groups(pairs, GroupDimension.BY_LIBRARY)
     total = sum(row.n_journals for row in table.rows)
     assert total > len(pairs)  # journals count once per library
+
+
+def test_compare_reads_its_area_off_its_journals():
+    pairs = [
+        (journal._replace(area=Area.CIENCIAS_SOCIALES), indicators)
+        for journal, indicators in _category_separation_pairs()
+    ]
+    table = compare_groups(pairs, GroupDimension.BY_CATEGORY, variables=["cr_ga_log10"])
+    assert table.area is Area.CIENCIAS_SOCIALES
+    pairs[0] = (pairs[0][0]._replace(area=Area.CIENCIAS), pairs[0][1])
+    with pytest.raises(DomainError) as info:
+        compare_groups(pairs, GroupDimension.BY_CATEGORY, variables=["cr_ga_log10"])
+    assert str(info.value) == "the journals are of both areas; compare one area at a time"
 
 
 # --- correlation matrix ------------------------------------------------------
@@ -245,8 +255,7 @@ def test_every_variable_is_defined_and_ranks_journals_its_own_way(tmp_path):
     bench_module("workloads").write_corpus_input(3, tmp_path, journals=60, articles=(5, 20))
     corpus = corpus_from_json((tmp_path / "corpus.json").read_text(encoding="utf-8"))
     for area in Area:
-        area_corpus = filter_by_area(corpus, area)
-        pairs = corpus_indicator_sets(area_corpus.journals, visible_cites(area_corpus))
+        pairs = corpus_indicator_sets(filter_by_area(corpus.journals, area), visible_cites(corpus))
         first_with_ranks = {}
         for name, extract in VARIABLES.items():
             values = [extract(s) for _, s in pairs]
@@ -403,7 +412,7 @@ def test_regression_permuting_corpus_predictors_keeps_the_fit():
 def test_analysis_outputs_are_deterministic_json():
     corpus = build_fixture_corpus()
     pairs = corpus_indicator_sets(corpus.journals, visible_cites(corpus))
-    table = compare_groups(pairs, Area.CIENCIAS, GroupDimension.BY_CATEGORY)
+    table = compare_groups(pairs, GroupDimension.BY_CATEGORY)
     matrix = correlation_matrix(pairs, ["h", "cr_ga_log10", "pi_ld"])
     factor = citation_factor_analysis(pairs)
     regression = citation_regression(pairs)
@@ -418,7 +427,7 @@ def test_serialized_documents_carry_required_keys():
 
     corpus = build_fixture_corpus()
     pairs = corpus_indicator_sets(corpus.journals, visible_cites(corpus))
-    table = compare_groups(pairs, Area.CIENCIAS, GroupDimension.BY_CATEGORY)
+    table = compare_groups(pairs, GroupDimension.BY_CATEGORY)
     doc = json.loads(comparison_to_json(table))
     assert {"dimension", "variables", "rows", "tests", "letters"} <= set(doc)
     assert set(DEFAULT_COMPARE_VARIABLES) == set(doc["tests"])

@@ -98,6 +98,11 @@ def test_empirical_all_tied_goes_to_first_quartile():
     assert all(r.quartile == 1 for r in assign_quartiles(rows, bounds))
 
 
+def test_empirical_bounds_of_an_empty_ranking_is_an_error():
+    with pytest.raises(DomainError, match="cannot derive quartile bounds from an empty ranking"):
+        empirical_bounds([])
+
+
 def test_empirical_distinct_values_split_evenly():
     rows = [_row(i + 1, h, 1.0) for i, h in enumerate([8, 7, 6, 5, 4, 3, 2, 1])]
     quartered = assign_quartiles(rows, empirical_bounds(rows))

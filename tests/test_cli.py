@@ -298,6 +298,22 @@ def test_classify_on_an_area_without_journals_is_a_one_line_data_error(tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode", ["empirical", "fixed"])
+def test_classify_on_a_corpus_without_journals_is_a_one_line_data_error(tmp_path, capsys, mode):
+    # ingest reads a registry of no journal into a corpus of none
+    registry = tmp_path / "registry.csv"
+    registry.write_text(ingest.REGISTRY_HEADER + "\n", encoding="utf-8")
+    (tmp_path / "records").mkdir()
+    corpus = tmp_path / "corpus.json"
+    argv = ["ingest", "--registry", str(registry), "--records-dir", str(tmp_path / "records")]
+    assert main([*argv, "--out", str(corpus)]) == 0
+    out = tmp_path / "table.csv"
+    argv = ["classify", "--corpus", str(corpus), "--quartile-mode", mode, "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "citemetric classify: the corpus holds no journal\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command, extra",
     [
@@ -626,6 +642,14 @@ def _unknown_status(doc):
     doc["articles"][0]["status"] = "Bogus"
 
 
+def _list_status(doc):
+    doc["articles"][3]["status"] = ["Kept"]
+
+
+def _object_status(doc):
+    doc["articles"][3]["status"] = {"Kept": 1}
+
+
 def _unknown_area(doc):
     doc["journals"][0]["area"] = "Artes"
 
@@ -807,6 +831,8 @@ def _not_utf8(doc):
         (_without_cites, "missing key 'cites'"),
         (_articles_not_a_list, "articles: expected a list, got int"),
         (_unknown_status, "'Bogus' is not a valid ArticleStatus"),
+        (_list_status, "['Kept'] is not a valid ArticleStatus"),
+        (_object_status, "{'Kept': 1} is not a valid ArticleStatus"),
         (_unknown_area, "'Artes' is not a valid Area"),
         (_unknown_library, "'Dialnet' is not a valid Library"),
         (_without_ibnp_total, "ibnp_totals: no entry for journal 'sci001'"),

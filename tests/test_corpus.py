@@ -79,42 +79,33 @@ def test_negative_ibnp_total_is_reported():
     assert validate_corpus(corpus) == ["journal 'j1' has negative ibnp total"]
 
 
-def _two_area_corpus():
-    journals = (
+def _two_area_journals():
+    return (
         _journal("a1", "Ciencias Uno"),
-        _journal("a2", "Ciencias Dos"),
         _journal("b1", "Sociales Uno", area=Area.CIENCIAS_SOCIALES),
+        _journal("a2", "Ciencias Dos"),
     )
-    articles = (_article("a1"), _article("b1"), _article("a2"))
-    return JournalCorpus(journals=journals, articles=articles)
 
 
-def test_filter_by_area_keeps_matching_journals_and_articles():
-    corpus = _two_area_corpus()
-    ciencias = filter_by_area(corpus, Area.CIENCIAS)
-    assert [j.journal_id for j in ciencias.journals] == ["a1", "a2"]
-    assert {a.journal_id for a in ciencias.articles} == {"a1", "a2"}
-    assert ciencias.window == corpus.window
+def test_filter_by_area_keeps_matching_journals_in_order():
+    ciencias = filter_by_area(_two_area_journals(), Area.CIENCIAS)
+    assert [j.journal_id for j in ciencias] == ["a1", "a2"]
 
 
 def test_filter_by_area_empty_result():
-    corpus = JournalCorpus(journals=(_journal(),), articles=())
-    sociales = filter_by_area(corpus, Area.CIENCIAS_SOCIALES)
-    assert sociales.journals == ()
-    assert sociales.articles == ()
+    assert filter_by_area((_journal(),), Area.CIENCIAS_SOCIALES) == ()
 
 
 def test_area_filters_partition_the_corpus():
-    corpus = _two_area_corpus()
-    ciencias = filter_by_area(corpus, Area.CIENCIAS)
-    sociales = filter_by_area(corpus, Area.CIENCIAS_SOCIALES)
-    assert set(ciencias.journals) | set(sociales.journals) == set(corpus.journals)
-    assert set(ciencias.journals) & set(sociales.journals) == set()
+    journals = _two_area_journals()
+    ciencias = filter_by_area(journals, Area.CIENCIAS)
+    sociales = filter_by_area(journals, Area.CIENCIAS_SOCIALES)
+    assert set(ciencias) | set(sociales) == set(journals)
+    assert set(ciencias) & set(sociales) == set()
 
 
 def test_filter_by_area_is_idempotent():
-    corpus = _two_area_corpus()
-    once = filter_by_area(corpus, Area.CIENCIAS)
+    once = filter_by_area(_two_area_journals(), Area.CIENCIAS)
     twice = filter_by_area(once, Area.CIENCIAS)
     assert once == twice
 

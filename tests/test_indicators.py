@@ -166,6 +166,11 @@ def test_compute_indicator_set_zero_production_leaves_quotients_undefined():
     assert indicator.visibility_ratio is None
 
 
+def test_compute_indicator_set_refuses_negative_production():
+    with pytest.raises(DomainError, match="registry production cannot be negative"):
+        compute_indicator_set(_journal(air_ibnp=-1), [])
+
+
 @given(st.lists(st.integers(min_value=0, max_value=40), max_size=30))
 def test_indicator_set_h_bounds(cites):
     indicator = compute_indicator_set(_journal(air_ibnp=100), cites)
@@ -232,6 +237,12 @@ def test_cpn_zero_area_mean_is_an_error():
     area = area_mean_citation([_set(ca_mean=0.0)])
     with pytest.raises(DomainError, match="area citation rate is zero"):
         cpn(_set(ca_mean=0.0), area)
+
+
+def test_cpn_of_a_journal_without_a_rate_is_an_error():
+    indicator = compute_indicator_set(_journal(air_ibnp=0), [3])
+    with pytest.raises(DomainError, match="journal 'j1' has no citation rate"):
+        cpn(indicator, 1.0)
 
 
 def test_mean_cpn_is_one_and_scale_invariant():
@@ -403,8 +414,8 @@ def _with_sociales_copies(corpus, journal_fields, article_fields):
 
 def _ciencias_pairs_are_the_ciencias_only_pass(corpus, pairs):
     ciencias = [(j, s) for j, s in pairs if j.area is Area.CIENCIAS]
-    ciencias_only = filter_by_area(corpus, Area.CIENCIAS)
-    assert ciencias == corpus_indicator_sets(ciencias_only.journals, visible_cites(ciencias_only))
+    ciencias_only = filter_by_area(corpus.journals, Area.CIENCIAS)
+    assert ciencias == corpus_indicator_sets(ciencias_only, visible_cites(corpus))
     assert all(s.cpn is not None for _, s in ciencias)
 
 

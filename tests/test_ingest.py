@@ -272,6 +272,20 @@ def test_build_corpus_empty_records_is_valid():
     assert validate_corpus(corpus) == []
 
 
+def test_build_corpus_refuses_a_kept_article_outside_the_window():
+    journals = parse_registry(REGISTRY_HEADER + "\nj1,Revista,Ciencias,B,10,0,0,0,0,1\n")
+    article = ArticleRecord(journal_id="j1", title="Nota", year=2010, cites=1)
+    with pytest.raises(DomainError) as info:
+        build_corpus(journals, {"j1": [article]}, (2003, 2007))
+    assert str(info.value) == (
+        "invalid corpus: article row 0 (journal 'j1'): kept record with year outside window"
+    )
+
+
+def test_alias_map_counts_its_sources():
+    assert len(ingest.AliasMap({"A b": "c D", "x": "y"})) == 2
+
+
 def _every_status_corpus():
     """The fixture's journals with one article per status, a missing year and
     blank optional fields (the bundled fixture holds only Kept rows)."""

@@ -142,12 +142,40 @@ def test_exact_permutation_pvalue_equals_its_loop_on_the_c02_samples(x, y):
     assert exact_permutation_pvalue(x, y) == exact_permutation_pvalue_loop(x, y)
 
 
+@pytest.mark.parametrize(
+    "call, says",
+    [
+        (lambda: mid_ranks([]), "cannot rank an empty sequence"),
+        (lambda: ols_fit([1.0, 2, 3], []), "need at least one predictor"),
+        (lambda: anova_oneway([[1.0, 2.0], []]), "every group needs at least one value"),
+        (lambda: pca_unrotated([1.0, 2, 3]), "data must be a two-dimensional matrix"),
+        (lambda: regularized_incomplete_beta(0, 1, 0.5), "beta parameters must be positive"),
+        (lambda: regularized_incomplete_beta(1, 1, 1.5), r"x must lie in \[0, 1\]"),
+        (lambda: regularized_gamma_upper(0, 1), "shape parameter must be positive"),
+        (lambda: regularized_gamma_upper(1, -1), "x must be non-negative"),
+    ],
+    ids=["mid_ranks", "ols_fit", "anova", "pca", "beta_a", "beta_x", "gamma_s", "gamma_x"],
+)
+def test_arguments_outside_the_domain_raise(call, says):
+    with pytest.raises(DomainError, match=says):
+        call()
+
+
 # --- tail probabilities ----------------------------------------------------------
 
 
 def test_chi_square_tail_analytic_two_df():
     # with two degrees of freedom the survival function is exp(-x / 2)
     assert chi_square_tail(7.2, 2) == pytest.approx(math.exp(-3.6), abs=1e-12)
+
+
+def test_tails_at_the_ends_of_their_range():
+    # 1e200 squares to inf and 5e-324 halves to 0, so these reach the x = 0
+    # branches of the regularized beta and gamma functions behind the tails
+    assert student_t_tail(1e200, 3) == 0.0
+    assert chi_square_tail(5e-324, 2) == 1.0
+    assert (student_t_tail(math.inf, 3), student_t_tail(-math.inf, 3)) == (0.0, 1.0)
+    assert chi_square_tail(math.inf, 2) == 0.0
 
 
 def test_f_tail_equals_two_sided_t():
