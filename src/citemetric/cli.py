@@ -38,14 +38,13 @@ from __future__ import annotations
 import os
 import re
 import sys
-import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Optional, Sequence, Tuple
 
 from . import ingest
-from .corpus import Area, filter_by_area
+from .corpus import DEFAULT_WINDOW, Area, filter_by_area
 from .errors import CitemetricError, DomainError
 from .ingest import _INTEGER, DedupConfig
 
@@ -60,17 +59,6 @@ def _ascii_number(text: str, kind=int):
     if not (_INTEGER if kind is int else _REAL).fullmatch(text):
         raise ValueError(text)
     return kind(text)
-
-
-def _parse_window(text: str) -> Tuple[int, int]:
-    try:
-        start, end = text.split(":")
-        window = (_ascii_number(start), _ascii_number(end))
-    except ValueError:
-        raise DomainError(f"window must look like 2003:2007, got {text!r}") from None
-    if window[0] > window[1]:
-        raise DomainError(f"window start exceeds end: {text!r}")
-    return window
 
 
 def _type_error(message: str) -> Exception:
@@ -102,21 +90,30 @@ _alpha = _bounded(float, "must lie in (0, 1)", lambda v: 0.0 < v < 1.0)
 _top = _bounded(int, "must be at least 1", lambda v: v >= 1)
 
 
+def _window(text: str) -> Tuple[int, int]:
+    """The type of --window: ``start:end``, two ASCII years, start not after end."""
+    try:
+        start, end = map(_ascii_number, text.split(":"))
+    except ValueError:
+        raise _type_error(f"must look like 2003:2007, got {text!r}") from None
+    if start > end:
+        raise _type_error(f"start exceeds end, got {text!r}")
+    return start, end
+
+
 def _write_atomic(path: str, data: bytes) -> None:
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    fd, temp_name = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".")
-    umask = os.umask(0)
-    os.umask(umask)
+    temp = target.with_name(f"{target.name}.{os.urandom(6).hex()}")
+    # exclusive create: a name already there, a symlink included, is an error,
+    # never opened; the file gets the mode a plain open() gives
+    handle = open(temp, "xb")
     try:
-        with os.fdopen(fd, "wb") as handle:
+        with handle:
             handle.write(data)
-        # mkstemp creates 0600; give the mode a plain open() would
-        os.chmod(temp_name, 0o666 & ~umask)
-        os.replace(temp_name, target)
+        os.replace(temp, target)
     except BaseException:
-        if os.path.exists(temp_name):
-            os.unlink(temp_name)
+        temp.unlink(missing_ok=True)
         raise
 
 
@@ -152,10 +149,9 @@ def _area_pairs(args, mean_mode: str = "ratios"):
 
 
 def _run_ingest(args) -> str:
-    window = _parse_window(args.window)
     with _reading(args.registry):
         journals = ingest.parse_registry(Path(args.registry).read_bytes())
-    dedup_config = DedupConfig(window=window, title_threshold=args.title_threshold)
+    dedup_config = DedupConfig(window=args.window, title_threshold=args.title_threshold)
     if args.alias:
         # an AliasMap, normalized and checked once here rather than per journal
         with _reading(args.alias):
@@ -172,7 +168,7 @@ def _run_ingest(args) -> str:
             records, lines = ingest.parse_citation_export(path.read_bytes(), journal_id)
         cleaned, _report = ingest.deduplicate(records, dedup_config, lines)
         records_by_journal[journal_id] = cleaned
-    return ingest.corpus_to_json(ingest.build_corpus(journals, records_by_journal, window))
+    return ingest.corpus_to_json(ingest.build_corpus(journals, records_by_journal, args.window))
 
 
 def _run_indicators(args) -> str:
@@ -246,8 +242,11 @@ _COMMANDS = {
             ("--registry", {"required": True}),
             ("--records-dir", {"required": True}),
             ("--alias", {}),
-            ("--window", {"default": "2003:2007"}),
-            ("--title-threshold", {"type": _title_threshold, "default": 0.92}),
+            ("--window", {"type": _window, "default": DEFAULT_WINDOW}),
+            (
+                "--title-threshold",
+                {"type": _title_threshold, "default": DedupConfig().title_threshold},
+            ),
             _OUT,
         ),
     ),

@@ -1,5 +1,7 @@
+import argparse
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -8,22 +10,23 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from citemetric import analysis, ingest
+from citemetric import analysis, classify, indicators, ingest
 from citemetric.cli import (
     _COMMANDS,
     _alpha,
     _build_parser,
-    _parse_window,
     _read_argv,
     _title_threshold,
     _top,
+    _window,
     main,
 )
-from citemetric.errors import DomainError, MalformedCorpus
+from citemetric.errors import MalformedCorpus
 from fixture_corpus import bench_module, write_fixture_tree
 
 REPO = pathlib.Path(__file__).parent.parent
@@ -336,23 +339,19 @@ def test_an_area_the_corpus_does_not_hold_is_a_one_line_data_error(
     assert not out.exists()
 
 
-def test_bad_window_is_a_data_error(tmp_path, capsys):
+def test_bad_window_is_a_usage_error(tmp_path, capsys):
     registry, records = write_fixture_tree(tmp_path)
-    code = main(
-        [
-            "ingest",
-            "--registry",
-            str(registry),
-            "--records-dir",
-            str(records),
-            "--window",
-            "2007:2003",
-            "--out",
-            str(tmp_path / "c.json"),
-        ]
-    )
-    assert code == 1
-    assert "window" in capsys.readouterr().err
+    out = tmp_path / "c.json"
+    inputs = ["--registry", str(registry), "--records-dir", str(records)]
+    for value in ("2007:2003", "2003-2007"):
+        for spelling in ([f"--window={value}"], ["--window", value]):
+            argv = ["ingest", *inputs, *spelling, "--out", str(out)]
+            assert _read_argv(argv) is None, argv
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 2, argv
+            assert "argument --window: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_alpha_and_top_out_of_range_exit_with_usage_error(tmp_path, capsys):
@@ -446,6 +445,15 @@ def test_outputs_get_the_mode_a_plain_open_would_give(tmp_path, umask, mode):
     finally:
         os.umask(previous)
     assert out.stat().st_mode & 0o777 == mode
+
+
+def test_outputs_are_written_without_touching_the_umask(tmp_path):
+    """The umask is process-wide: setting it, even to read it back, changes
+    the mode of any file another thread creates meanwhile."""
+    out = tmp_path / "table.csv"
+    with mock.patch.object(os, "umask", side_effect=AssertionError("umask called")):
+        assert main(["classify", "--corpus", str(BUNDLED_CORPUS), "--out", str(out)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["table.csv"]
 
 
 @pytest.mark.parametrize("threshold", ["1.5", "0", "-0.1", "nan", "inf", "high", "0.9_2", "٠.٩"])
@@ -1056,15 +1064,52 @@ def test_a_stdout_that_cannot_be_flushed_exits_120():
 
 
 def test_parse_window():
-    assert _parse_window("2003:2007") == (2003, 2007)
+    assert _window("2003:2007") == (2003, 2007)
     # int() alone would read each of the last four
-    for text in ("2003-2007", "2_003:2007", "2003:２００７", " 2003:2007", "٢٠٠٣:2007"):
-        with pytest.raises(DomainError, match="window must look like 2003:2007"):
-            _parse_window(text)
+    bad = ("2003-2007", "2003:2005:2007", "2_003:2007", "2003:２００７", " 2003:2007", "٢٠٠٣:2007")
+    for text in bad:
+        with pytest.raises(argparse.ArgumentTypeError, match="must look like 2003:2007"):
+            _window(text)
+    with pytest.raises(argparse.ArgumentTypeError, match="start exceeds end, got '2007:2003'"):
+        _window("2007:2003")
 
 
 #: command -> {flag: add_argument keywords}, the table both parsers read
 _ARGUMENTS = {name: dict(arguments) for name, (_help, _run, arguments) in _COMMANDS.items()}
+
+
+def test_the_command_table_restates_the_library_defaults_and_choices():
+    """Each command loads only the modules it runs, so ``_COMMANDS`` repeats
+    the defaults and choices of analysis, indicators and classify rather than
+    reading them; this fails as soon as either side drifts."""
+
+    def default(function, parameter):
+        return inspect.signature(function).parameters[parameter].default
+
+    compare, regress = _ARGUMENTS["compare"], _ARGUMENTS["regress"]
+    assert compare["--alpha"]["default"] == default(analysis.compare_groups, "alpha")
+    assert _ARGUMENTS["correlate"]["--alpha"]["default"] == default(
+        analysis.correlation_matrix, "alpha"
+    )
+    assert compare["--method"]["default"] == default(analysis.compare_groups, "method")
+    assert regress["--response"]["default"] == default(analysis.citation_regression, "response")
+    for command in ("indicators", "classify"):
+        area_mean = _ARGUMENTS[command]["--area-mean"]
+        assert area_mean["default"] == default(indicators.corpus_indicator_sets, "mean_mode")
+        assert tuple(area_mean["choices"]) == indicators.MEAN_MODES
+    assert list(compare["--by"]["choices"]) == [d.value for d in analysis.GroupDimension]
+    # every choice the table offers is one the library takes
+    journals, cites = ingest.journal_cites_from_json(BUNDLED_CORPUS.read_text(encoding="utf-8"))
+    pairs = indicators.corpus_indicator_sets(journals, cites)
+    for method in compare["--method"]["choices"]:
+        analysis.compare_groups(pairs, analysis.GroupDimension.BY_CATEGORY, method=method)
+    for response in regress["--response"]["choices"]:
+        analysis.citation_regression(pairs, response=response)
+    rows = classify.assign_quartiles(classify.rank_journals(pairs), classify.FIXED_BOUNDS)
+    for fmt in _ARGUMENTS["classify"]["--format"]["choices"]:
+        classify.emit_report(rows, fmt)
+
+
 _ALL_FLAGS = sorted({flag for arguments in _ARGUMENTS.values() for flag in arguments})
 _ANY_VALUE = st.one_of(
     st.sampled_from(sorted({
@@ -1082,6 +1127,9 @@ _VALID_TYPED = {
     _alpha: st.floats(0.001, 0.999).map(repr),
     _title_threshold: st.floats(0.001, 1.0).map(repr),
     _top: st.integers(1, 99).map(str),
+    _window: st.tuples(st.integers(1900, 2100), st.integers(0, 20)).map(
+        lambda start_span: f"{start_span[0]}:{sum(start_span)}"
+    ),
 }
 
 

@@ -449,11 +449,11 @@ def test_journal_cites_hold_no_article_record(tmp_path):
     assert peak < 0.25 * len(text)
 
 
-_DAMAGE = [damage for damage, _says in _cli_damage_test.pytestmark[0].args[1]]
+_DAMAGE = _cli_damage_test.pytestmark[0].args[1]
 
 
-@pytest.mark.parametrize("damage", _DAMAGE, ids=[damage.__name__ for damage in _DAMAGE])
-def test_journal_cites_refuse_a_damaged_corpus_as_the_corpus_load_does(damage):
+@pytest.mark.parametrize("damage, says", _DAMAGE, ids=[damage.__name__ for damage, _ in _DAMAGE])
+def test_journal_cites_refuse_a_damaged_corpus_as_the_corpus_load_does(damage, says):
     doc = json.loads(BUNDLED_CORPUS.read_text(encoding="utf-8"))
     content = damage(doc)
     content = json.dumps(doc).encode("utf-8") if content is None else content
@@ -462,6 +462,7 @@ def test_journal_cites_refuse_a_damaged_corpus_as_the_corpus_load_does(damage):
     with pytest.raises(MalformedCorpus) as got:
         journal_cites_from_json(content)
     assert str(got.value) == str(expected.value)
+    assert says in str(got.value)
 
 
 def _with_extra_article(doc):
