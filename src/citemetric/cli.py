@@ -25,6 +25,20 @@ A command that reads a corpus keeps no article record:
 and each journal's visible cites, and the text is freed before any analysis
 runs, so ``factor`` and ``regress`` load numpy without it.
 
+Those pairs are cached, so the commands run on one corpus parse it once.
+The key is a BLAKE2b digest of the interpreter's version, of the source of
+``ingest``, ``corpus`` and this module, and of the corpus bytes, so an edit
+to the reader, to the entry format or to the corpus is a miss. The entry,
+``<key>.json`` under ``$XDG_CACHE_HOME/citemetric`` (``~/.cache/citemetric``
+when that variable is unset, empty or relative), holds the journal rows and
+the visible cites, no article text. A hit rebuilds the pairs from it and
+skips the decode and the parse; a miss parses as above and then writes the
+entry into a 0700 directory. Only a corpus the reader accepted is stored, so every diagnostic
+and output byte is the same on a hit and a miss. An entry of another shape
+is a miss, and a cache that cannot be read or written is ignored. The digest
+comes from ``_blake2``, which ``hashlib`` wraps: ``hashlib`` itself would
+load OpenSSL's libcrypto, 3.6 MiB of resident memory per command.
+
 A data error raised while the registry, the alias file, an export or the
 corpus is decoded or parsed starts with that file's path.
 
@@ -43,8 +57,8 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Optional, Sequence, Tuple
 
-from . import ingest
-from .corpus import DEFAULT_WINDOW, Area, filter_by_area
+from . import corpus, ingest
+from .corpus import DEFAULT_WINDOW, Area, IbnpCategory, JournalRecord, Library, filter_by_area
 from .errors import CitemetricError, DomainError
 from .ingest import _INTEGER, DedupConfig
 
@@ -127,6 +141,83 @@ def _reading(path):
         raise DomainError(f"{path}: {error}") from None
 
 
+def _cache_entry(data: bytes) -> Optional[Path]:
+    """The cache file of the corpus whose bytes are ``data``; None when there
+    is no absolute cache directory or the key cannot be computed."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):  # unset, empty or relative
+        home = os.environ.get("HOME", "")
+        if not os.path.isabs(home):
+            return None
+        base = os.path.join(home, ".cache")
+    try:
+        from _blake2 import blake2b  # not hashlib: see the module docstring
+
+        # the interpreter's version too: its Unicode tables decide what strip() removes
+        key = blake2b(sys.version.encode(), digest_size=32)
+        for source in (ingest.__file__, corpus.__file__, __file__):
+            code = Path(source).read_bytes()
+            key.update(len(code).to_bytes(8, "big"))
+            key.update(code)
+    except (ImportError, OSError):
+        return None
+    key.update(data)
+    return Path(base, "citemetric", f"{key.hexdigest()}.json")
+
+
+def _entry_pairs(entry: bytes):
+    """The ``(journals, cites)`` a cache entry holds; ValueError or TypeError
+    for an entry of any other shape."""
+    import json
+
+    rows, cites = json.loads(entry)
+    journals = []
+    for journal_id, title, area, category, total, libraries in rows:
+        if (type(journal_id), type(title), type(total), type(libraries)) != (str, str, int, list):
+            raise TypeError("not a journal row")
+        libraries = frozenset(map(Library, libraries))
+        journals.append(
+            JournalRecord(journal_id, title, Area(area), IbnpCategory(category), total, libraries)
+        )
+    if type(cites) is not dict:
+        raise TypeError("not a cites map")
+    for values in cites.values():
+        # exact types: bool is an int subclass, and JSON true is not a cite
+        if type(values) is not list or set(map(type, values)) - {int} or min(values, default=0) < 0:
+            raise ValueError("not a list of cites")
+    return tuple(journals), cites
+
+
+def _journal_cites(path):
+    """``ingest.journal_cites_from_json``'s pairs for the corpus file at
+    ``path``, from the cache when it holds them (see the module docstring)."""
+    data = Path(path).read_bytes()
+    entry = _cache_entry(data)
+    if entry is not None:
+        try:
+            return _entry_pairs(entry.read_bytes())
+        except (OSError, ValueError, TypeError, RecursionError):
+            pass  # no entry, or not one this code writes: a miss
+    # decoded here, so the file's bytes are freed before the parse starts;
+    # the reader strips a leading byte-order mark, as it does from bytes
+    text = data.decode("utf-8")
+    del data
+    journals, cites = ingest.journal_cites_from_json(text)
+    del text
+    if entry is not None:
+        import json
+
+        rows = [[*j[:5], sorted(j.memberships)] for j in journals]
+        # ASCII, so a title holding a lone surrogate escape is stored as read
+        stored = json.dumps([rows, cites], separators=(",", ":"))
+        try:
+            os.makedirs(entry.parent, mode=0o700, exist_ok=True)
+            _write_atomic(entry, stored.encode("ascii"))
+        except OSError:
+            pass
+    return journals, cites
+
+
 def _area_pairs(args, mean_mode: str = "ratios"):
     """Read --corpus's journals and visible cites, keep --area's journals if
     one is given, and compute indicators. No journal left to read is a data
@@ -134,12 +225,7 @@ def _area_pairs(args, mean_mode: str = "ratios"):
     from . import indicators
 
     with _reading(args.corpus):
-        # decoded here, so the file's bytes are freed before the parse starts,
-        # and the text is freed when the reader returns; the reader strips a
-        # leading byte-order mark, as it does from bytes
-        journals, cites = ingest.journal_cites_from_json(
-            Path(args.corpus).read_bytes().decode("utf-8")
-        )
+        journals, cites = _journal_cites(args.corpus)
     if args.area:
         journals = filter_by_area(journals, _AREAS[args.area])
     if not journals:

@@ -8,6 +8,7 @@ import os
 import pathlib
 import re
 import subprocess
+import stat
 import sys
 import tracemalloc
 from unittest import mock
@@ -18,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from citemetric import analysis, classify, indicators, ingest
 from citemetric.cli import (
     _COMMANDS,
+    _journal_cites,
     _alpha,
     _build_parser,
     _read_argv,
@@ -33,6 +35,15 @@ REPO = pathlib.Path(__file__).parent.parent
 BUNDLED_CORPUS = REPO / "fixtures" / "ciencias_table7.json"
 GOLDEN_MD = pathlib.Path(__file__).parent / "data" / "table7_top2.md"
 GOLDEN_JSON = GOLDEN_MD.with_suffix(".json")
+
+
+def _cache_dir() -> pathlib.Path:
+    """The test's own cache directory, set by the repository's conftest.py."""
+    return pathlib.Path(os.environ["XDG_CACHE_HOME"])
+
+
+def _entries() -> list:
+    return sorted((_cache_dir() / "citemetric").glob("*.json"))
 
 
 def _ingest(tmp_path, out_name="corpus.json"):
@@ -899,6 +910,10 @@ def test_malformed_corpus_json_is_a_one_line_data_error(tmp_path, capsys, damage
     assert says in err
     assert len(err.splitlines()) == 1
     assert not out.exists()
+    # a refused corpus is never cached, so a second run refuses it again alike
+    assert not any(_cache_dir().iterdir())
+    assert main(["classify", "--corpus", str(corpus), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == err
 
 
 def test_journal_ids_named_like_article_keys_load(tmp_path):
@@ -1347,14 +1362,16 @@ def test_ingest_keeps_its_bytes_on_the_benchmark_inputs(tmp_path, profile, input
     assert hashlib.sha256(corpus).hexdigest() == INGEST_DIGESTS[profile]
 
 
-def test_analysis_command_holds_one_copy_of_the_corpus(tmp_path):
+def test_analysis_command_holds_one_copy_of_the_corpus(tmp_path, monkeypatch):
     """The file's bytes are freed before the parse, and the parsed articles
     never all exist beside their records; holding both took the peak to
-    ~4.6x the file's size."""
+    ~4.6x the file's size. The measured call gets an empty cache, so it
+    parses the file."""
     bench_module("workloads").write_corpus_input(3, tmp_path, journals=60, articles=(20, 60))
     corpus = tmp_path / "corpus.json"
     argv = ["classify", "--corpus", str(corpus), "--out", str(tmp_path / "table.csv")]
     assert main(argv) == 0  # first-call costs (caches, lazy imports) are not the load's
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "empty_cache"))
     tracemalloc.start()
     try:
         baseline, _ = tracemalloc.get_traced_memory()
@@ -1363,3 +1380,185 @@ def test_analysis_command_holds_one_copy_of_the_corpus(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak - baseline < 3.5 * corpus.stat().st_size
+
+
+def _no_parse():
+    """Fail any corpus parse: a command run under it must be a cache hit."""
+    return mock.patch.object(
+        ingest, "journal_cites_from_json", side_effect=AssertionError("parsed on a hit")
+    )
+
+
+def test_a_cache_hit_holds_the_file_and_little_else(tmp_path):
+    """A hit reads the file's bytes to key them and a small entry, and parses neither."""
+    bench_module("workloads").write_corpus_input(3, tmp_path, journals=60, articles=(20, 60))
+    corpus = tmp_path / "corpus.json"
+    argv = ["classify", "--corpus", str(corpus), "--out", str(tmp_path / "table.csv")]
+    assert main(argv) == 0  # a miss, which writes the entry
+    tracemalloc.start()
+    try:
+        baseline, _ = tracemalloc.get_traced_memory()
+        with _no_parse():
+            assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - baseline < 1.5 * corpus.stat().st_size
+
+
+def _outcome(argv, capsys):
+    """Exit code, stderr and output bytes (None for none) of one command."""
+    out = pathlib.Path(argv[-1])
+    out.unlink(missing_ok=True)
+    code = main(argv)
+    return code, capsys.readouterr().err, out.read_bytes() if out.exists() else None
+
+
+@pytest.mark.parametrize("source", ["bundled", "generated"])
+def test_a_cache_hit_writes_the_bytes_of_a_miss(tmp_path, monkeypatch, capsys, source):
+    """On the bundled fixture ``correlate`` exits 1 (its air_ibnp_log10 is
+    constant), on a hit as on a miss."""
+    corpus = BUNDLED_CORPUS
+    if source == "generated":
+        bench_module("workloads").write_corpus_input(3, tmp_path, journals=60, articles=(20, 60))
+        corpus = tmp_path / "corpus.json"
+    codes = []
+    for label, argv in bench_module("workloads").analysis_commands(str(corpus), str(tmp_path)):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache" / label))
+        missed = _outcome(argv, capsys)
+        with _no_parse():
+            assert _outcome(argv, capsys) == missed, label
+        codes.append(missed[0])
+    assert codes == ([0, 0, 0, 1, 0, 0, 0] if source == "bundled" else [0] * 7)
+    assert stat.S_IMODE((_cache_dir() / "citemetric").stat().st_mode) == 0o700
+    [entry] = _entries()
+    assert len(entry.stem) == 64
+    with _no_parse():
+        hit = _journal_cites(corpus)
+    assert hit == ingest.journal_cites_from_json(corpus.read_text(encoding="utf-8"))
+
+
+def test_a_title_with_a_lone_surrogate_is_cached_as_read(tmp_path):
+    """A JSON escape can put a lone surrogate in a title, which UTF-8 cannot
+    encode; the entry is ASCII, so it holds the title all the same."""
+    doc = json.loads(BUNDLED_CORPUS.read_text(encoding="utf-8"))
+    doc["journals"][0]["title"] = "REVISTA \ud800"
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps(doc), encoding="utf-8")
+    missed = _journal_cites(corpus)
+    assert missed[0][0].title == "REVISTA \ud800" and len(_entries()) == 1
+    with _no_parse():
+        assert _journal_cites(corpus) == missed
+
+
+def _entry_of(transform):
+    """A damage to a cache entry: ``transform`` edits its rows and cites."""
+
+    def damage(entry: bytes) -> bytes:
+        rows, cites = json.loads(entry)
+        transform(rows, cites)
+        return json.dumps([rows, cites]).encode("ascii")
+
+    return damage
+
+
+def _set_cite(value):
+    return _entry_of(lambda rows, cites: next(iter(cites.values())).__setitem__(0, value))
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda entry: b"{",
+        lambda entry: b"[]",
+        _entry_of(lambda rows, cites: rows[0].__setitem__(2, "Artes")),
+        _set_cite(True),
+        _set_cite("5"),
+        _set_cite(-1),
+        _entry_of(lambda rows, cites: rows[0].__setitem__(5, "WoK")),
+        lambda entry: b"[" * 100_000,
+    ],
+    ids=["truncated", "empty_list", "unknown_area", "true_cite", "string_cite", "negative_cite",
+         "memberships_as_string", "nested"],
+)
+def test_a_damaged_cache_entry_is_a_miss_and_is_rewritten(tmp_path, capsys, damage):
+    argv = ["classify", "--corpus", str(BUNDLED_CORPUS), "--out", str(tmp_path / "table.csv")]
+    assert main(argv) == 0
+    expected = (tmp_path / "table.csv").read_bytes()
+    [entry] = _entries()
+    written = entry.read_bytes()
+    entry.write_bytes(damage(written))
+    assert main(argv) == 0
+    assert (tmp_path / "table.csv").read_bytes() == expected
+    assert capsys.readouterr().err == ""
+    assert entry.read_bytes() == written
+
+
+def _relative_cache(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", "cache")
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    return tmp_path / "home" / ".cache"
+
+
+def _relative_cache_and_home(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", "cache")
+    monkeypatch.setenv("HOME", "home")
+    return None
+
+
+def _cache_under_a_file(tmp_path, monkeypatch):
+    (tmp_path / "file").write_bytes(b"")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file" / "cache"))
+    return None
+
+
+@pytest.mark.parametrize(
+    "place", [_relative_cache, _relative_cache_and_home, _cache_under_a_file]
+)
+def test_a_cache_that_cannot_be_used_changes_nothing(tmp_path, monkeypatch, capsys, place):
+    """A relative XDG_CACHE_HOME is ignored, as the XDG spec says, for
+    ``$HOME/.cache``; with no absolute home there is no cache. A cache
+    directory that cannot be made is no error."""
+    cache = place(tmp_path, monkeypatch)
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    out = tmp_path / "table.md"
+    for _ in range(2):
+        assert main([*_GOLDEN_MD_ARGV, "--out", str(out)]) == 0
+        assert out.read_bytes() == GOLDEN_MD.read_bytes()
+        assert capsys.readouterr().err == ""
+    assert not any(cwd.iterdir())
+    if cache is not None:
+        assert len(list((cache / "citemetric").glob("*.json"))) == 1
+
+
+def test_one_changed_byte_of_the_corpus_is_a_miss(tmp_path):
+    text = BUNDLED_CORPUS.read_bytes()
+    corpus = tmp_path / "corpus.json"
+    argv = ["classify", "--corpus", str(corpus), "--out", str(tmp_path / "table.csv")]
+    parses = []
+    for content in (text, text, text[:-1] + b" "):  # the last ends in a space, not a line break
+        corpus.write_bytes(content)
+        with mock.patch.object(
+            ingest, "journal_cites_from_json", wraps=ingest.journal_cites_from_json
+        ) as parse:
+            assert main(argv) == 0
+        parses.append(parse.call_count)
+    assert parses == [1, 0, 1]
+    assert len(_entries()) == 2
+
+
+def test_an_edit_to_the_reader_is_a_miss(tmp_path, monkeypatch):
+    """The key covers the reader's source, so an entry written before an edit
+    is not read after it, whatever the package version says."""
+    _journal_cites(BUNDLED_CORPUS)
+    edited = tmp_path / "ingest.py"
+    edited.write_bytes(pathlib.Path(ingest.__file__).read_bytes() + b"# edited\n")
+    monkeypatch.setattr(ingest, "__file__", str(edited))
+    with mock.patch.object(
+        ingest, "journal_cites_from_json", wraps=ingest.journal_cites_from_json
+    ) as parse:
+        _journal_cites(BUNDLED_CORPUS)
+    assert parse.call_count == 1
+    assert len(_entries()) == 2

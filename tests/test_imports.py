@@ -120,6 +120,17 @@ def test_no_well_formed_command_loads_argparse(tmp_path):
     assert _stdlib_added_by_each_command(tmp_path, watched) == [[]] * 7
 
 
+def test_no_command_loads_hashlib_and_ingest_loads_no_hash(tmp_path):
+    """``hashlib`` loads OpenSSL's libcrypto, 3.6 MiB of resident memory, so
+    the corpus cache keys with ``_blake2`` alone; ``ingest`` reads no corpus
+    and so loads neither."""
+    added = _stdlib_added_by_each_command(tmp_path, ["_blake2", "_hashlib", "hashlib"])
+    assert added[0] == []
+    assert all(modules in ([], ["_blake2"]) for modules in added)
+    # the probe does see _blake2 once a command keys a corpus
+    assert added[1] == ["_blake2"]
+
+
 def test_importtime_logs_the_package_modules():
     """``-X importtime`` logs only imports made by an import statement's own
     path; cli's ``from . import ingest`` is one, so ingest's cost shows as its
