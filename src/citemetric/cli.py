@@ -25,19 +25,21 @@ A command that reads a corpus keeps no article record:
 and each journal's visible cites, and the text is freed before any analysis
 runs, so ``factor`` and ``regress`` load numpy without it.
 
-Those pairs are cached, so the commands run on one corpus parse it once.
-The key is a BLAKE2b digest of the interpreter's version, of the source of
-``ingest``, ``corpus`` and this module, and of the corpus bytes, so an edit
-to the reader, to the entry format or to the corpus is a miss. The entry,
-``<key>.json`` under ``$XDG_CACHE_HOME/citemetric`` (``~/.cache/citemetric``
-when that variable is unset, empty or relative), holds the journal rows and
-the visible cites, no article text. A hit rebuilds the pairs from it and
-skips the decode and the parse; a miss parses as above and then writes the
-entry into a 0700 directory. Only a corpus the reader accepted is stored, so every diagnostic
-and output byte is the same on a hit and a miss. An entry of another shape
-is a miss, and a cache that cannot be read or written is ignored. The digest
-comes from ``_blake2``, which ``hashlib`` wraps: ``hashlib`` itself would
-load OpenSSL's libcrypto, 3.6 MiB of resident memory per command.
+Those pairs are cached, so commands run one after another on one corpus
+parse it once. The cache is one file, ``citemetric/journal_cites`` under
+``$XDG_CACHE_HOME`` (``~/.cache`` when that variable is unset, empty or
+relative; no cache without an absolute ``HOME``), and it holds the pairs of
+the last corpus a command parsed: the journal rows and the visible cites, no
+article text. Its first line is a BLAKE2b digest of the interpreter's
+version, of the source of ``ingest``, ``corpus`` and this module, of the
+corpus bytes and of the rest of the file, so only what this code wrote for
+these bytes matches: a hit rebuilds the pairs from it and skips the decode
+and the parse. Anything else is a miss, which parses as above and then
+replaces the file; a cache that cannot be read or written is ignored. Only a
+corpus the reader accepted is stored, so every diagnostic and output byte is
+the same on a hit and a miss. The digest comes from ``_blake2``, which
+``hashlib`` wraps: ``hashlib`` itself would load OpenSSL's libcrypto, 3.6 MiB
+of resident memory per command.
 
 A data error raised while the registry, the alias file, an export or the
 corpus is decoded or parsed starts with that file's path.
@@ -141,9 +143,9 @@ def _reading(path):
         raise DomainError(f"{path}: {error}") from None
 
 
-def _cache_entry(data: bytes) -> Optional[Path]:
-    """The cache file of the corpus whose bytes are ``data``; None when there
-    is no absolute cache directory or the key cannot be computed."""
+def _cache(data: bytes):
+    """The cache's one file and the key of the corpus whose bytes are
+    ``data``; None when there is no absolute cache directory or no key."""
     base = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(base):  # unset, empty or relative
         home = os.environ.get("HOME", "")
@@ -161,58 +163,54 @@ def _cache_entry(data: bytes) -> Optional[Path]:
             key.update(code)
     except (ImportError, OSError):
         return None
+    key.update(len(data).to_bytes(8, "big"))
     key.update(data)
-    return Path(base, "citemetric", f"{key.hexdigest()}.json")
+    return Path(base, "citemetric", "journal_cites"), key
 
 
-def _entry_pairs(entry: bytes):
-    """The ``(journals, cites)`` a cache entry holds; ValueError or TypeError
-    for an entry of any other shape."""
-    import json
-
-    rows, cites = json.loads(entry)
-    journals = []
-    for journal_id, title, area, category, total, libraries in rows:
-        if (type(journal_id), type(title), type(total), type(libraries)) != (str, str, int, list):
-            raise TypeError("not a journal row")
-        libraries = frozenset(map(Library, libraries))
-        journals.append(
-            JournalRecord(journal_id, title, Area(area), IbnpCategory(category), total, libraries)
-        )
-    if type(cites) is not dict:
-        raise TypeError("not a cites map")
-    for values in cites.values():
-        # exact types: bool is an int subclass, and JSON true is not a cite
-        if type(values) is not list or set(map(type, values)) - {int} or min(values, default=0) < 0:
-            raise ValueError("not a list of cites")
-    return tuple(journals), cites
+def _tag(key, payload: bytes) -> bytes:
+    """An entry's first line: the corpus key extended with the entry's payload,
+    so only a payload this code wrote for this corpus matches it."""
+    tag = key.copy()
+    tag.update(payload)
+    return tag.hexdigest().encode("ascii")
 
 
 def _journal_cites(path):
     """``ingest.journal_cites_from_json``'s pairs for the corpus file at
     ``path``, from the cache when it holds them (see the module docstring)."""
+    import json
+
     data = Path(path).read_bytes()
-    entry = _cache_entry(data)
-    if entry is not None:
+    cache = _cache(data)
+    if cache is not None:
+        entry, key = cache
         try:
-            return _entry_pairs(entry.read_bytes())
-        except (OSError, ValueError, TypeError, RecursionError):
-            pass  # no entry, or not one this code writes: a miss
+            stored = entry.read_bytes()
+        except OSError:
+            stored = b""  # no entry yet
+        tag, _, payload = stored.partition(b"\n")
+        if tag == _tag(key, payload):
+            rows, cites = json.loads(payload)
+            journals = tuple(
+                JournalRecord(journal_id, title, Area(area), IbnpCategory(category), total,
+                              frozenset(map(Library, libraries)))
+                for journal_id, title, area, category, total, libraries in rows
+            )
+            return journals, cites
     # decoded here, so the file's bytes are freed before the parse starts;
     # the reader strips a leading byte-order mark, as it does from bytes
     text = data.decode("utf-8")
     del data
     journals, cites = ingest.journal_cites_from_json(text)
     del text
-    if entry is not None:
-        import json
-
+    if cache is not None:
         rows = [[*j[:5], sorted(j.memberships)] for j in journals]
         # ASCII, so a title holding a lone surrogate escape is stored as read
-        stored = json.dumps([rows, cites], separators=(",", ":"))
+        payload = json.dumps([rows, cites], separators=(",", ":")).encode("ascii")
         try:
             os.makedirs(entry.parent, mode=0o700, exist_ok=True)
-            _write_atomic(entry, stored.encode("ascii"))
+            _write_atomic(entry, _tag(key, payload) + b"\n" + payload)
         except OSError:
             pass
     return journals, cites

@@ -42,8 +42,9 @@ def _cache_dir() -> pathlib.Path:
     return pathlib.Path(os.environ["XDG_CACHE_HOME"])
 
 
-def _entries() -> list:
-    return sorted((_cache_dir() / "citemetric").glob("*.json"))
+def _entry() -> pathlib.Path:
+    """The cache's one file."""
+    return _cache_dir() / "citemetric" / "journal_cites"
 
 
 def _ingest(tmp_path, out_name="corpus.json"):
@@ -1431,8 +1432,7 @@ def test_a_cache_hit_writes_the_bytes_of_a_miss(tmp_path, monkeypatch, capsys, s
         codes.append(missed[0])
     assert codes == ([0, 0, 0, 1, 0, 0, 0] if source == "bundled" else [0] * 7)
     assert stat.S_IMODE((_cache_dir() / "citemetric").stat().st_mode) == 0o700
-    [entry] = _entries()
-    assert len(entry.stem) == 64
+    assert re.fullmatch(rb"[0-9a-f]{64}", _entry().read_bytes().split(b"\n")[0])
     with _no_parse():
         hit = _journal_cites(corpus)
     assert hit == ingest.journal_cites_from_json(corpus.read_text(encoding="utf-8"))
@@ -1446,16 +1446,16 @@ def test_a_title_with_a_lone_surrogate_is_cached_as_read(tmp_path):
     corpus = tmp_path / "corpus.json"
     corpus.write_text(json.dumps(doc), encoding="utf-8")
     missed = _journal_cites(corpus)
-    assert missed[0][0].title == "REVISTA \ud800" and len(_entries()) == 1
+    assert missed[0][0].title == "REVISTA \ud800" and _entry().is_file()
     with _no_parse():
         assert _journal_cites(corpus) == missed
 
 
 def _entry_of(transform):
-    """A damage to a cache entry: ``transform`` edits its rows and cites."""
+    """A damage to a cache entry's payload: ``transform`` edits its rows and cites."""
 
-    def damage(entry: bytes) -> bytes:
-        rows, cites = json.loads(entry)
+    def damage(payload: bytes) -> bytes:
+        rows, cites = json.loads(payload)
         transform(rows, cites)
         return json.dumps([rows, cites]).encode("ascii")
 
@@ -1469,25 +1469,30 @@ def _set_cite(value):
 @pytest.mark.parametrize(
     "damage",
     [
-        lambda entry: b"{",
-        lambda entry: b"[]",
+        lambda payload: b"{",
+        lambda payload: b"[]",
         _entry_of(lambda rows, cites: rows[0].__setitem__(2, "Artes")),
         _set_cite(True),
         _set_cite("5"),
         _set_cite(-1),
         _entry_of(lambda rows, cites: rows[0].__setitem__(5, "WoK")),
-        lambda entry: b"[" * 100_000,
+        lambda payload: b"[" * 100_000,
+        lambda payload: payload + b" ",
     ],
     ids=["truncated", "empty_list", "unknown_area", "true_cite", "string_cite", "negative_cite",
-         "memberships_as_string", "nested"],
+         "memberships_as_string", "nested", "trailing_space"],
 )
-def test_a_damaged_cache_entry_is_a_miss_and_is_rewritten(tmp_path, capsys, damage):
+@pytest.mark.parametrize("tag", ["kept", "dropped"])
+def test_a_damaged_cache_entry_is_a_miss_and_is_rewritten(tmp_path, capsys, damage, tag):
+    """The entry's digest covers its payload, so a payload this code did not
+    write is a miss under the digest of the one it did."""
     argv = ["classify", "--corpus", str(BUNDLED_CORPUS), "--out", str(tmp_path / "table.csv")]
     assert main(argv) == 0
     expected = (tmp_path / "table.csv").read_bytes()
-    [entry] = _entries()
+    entry = _entry()
     written = entry.read_bytes()
-    entry.write_bytes(damage(written))
+    digest, _, payload = written.partition(b"\n")
+    entry.write_bytes((digest + b"\n" if tag == "kept" else b"") + damage(payload))
     assert main(argv) == 0
     assert (tmp_path / "table.csv").read_bytes() == expected
     assert capsys.readouterr().err == ""
@@ -1530,23 +1535,25 @@ def test_a_cache_that_cannot_be_used_changes_nothing(tmp_path, monkeypatch, caps
         assert capsys.readouterr().err == ""
     assert not any(cwd.iterdir())
     if cache is not None:
-        assert len(list((cache / "citemetric").glob("*.json"))) == 1
+        assert (cache / "citemetric" / "journal_cites").is_file()
 
 
 def test_one_changed_byte_of_the_corpus_is_a_miss(tmp_path):
+    """The cache holds the last corpus parsed, so going back to the first
+    bytes is a miss again."""
     text = BUNDLED_CORPUS.read_bytes()
     corpus = tmp_path / "corpus.json"
     argv = ["classify", "--corpus", str(corpus), "--out", str(tmp_path / "table.csv")]
     parses = []
-    for content in (text, text, text[:-1] + b" "):  # the last ends in a space, not a line break
+    # the third ends in a space, not a line break
+    for content in (text, text, text[:-1] + b" ", text, text):
         corpus.write_bytes(content)
         with mock.patch.object(
             ingest, "journal_cites_from_json", wraps=ingest.journal_cites_from_json
         ) as parse:
             assert main(argv) == 0
         parses.append(parse.call_count)
-    assert parses == [1, 0, 1]
-    assert len(_entries()) == 2
+    assert parses == [1, 0, 1, 1, 0]
 
 
 def test_an_edit_to_the_reader_is_a_miss(tmp_path, monkeypatch):
@@ -1561,4 +1568,3 @@ def test_an_edit_to_the_reader_is_a_miss(tmp_path, monkeypatch):
     ) as parse:
         _journal_cites(BUNDLED_CORPUS)
     assert parse.call_count == 1
-    assert len(_entries()) == 2
