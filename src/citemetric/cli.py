@@ -28,18 +28,18 @@ runs, so ``factor`` and ``regress`` load numpy without it.
 Those pairs are cached, so commands run one after another on one corpus
 parse it once. The cache is one file, ``citemetric/journal_cites`` under
 ``$XDG_CACHE_HOME`` (``~/.cache`` when that variable is unset, empty or
-relative; no cache without an absolute ``HOME``), and it holds the pairs of
-the last corpus a command parsed: the journal rows and the visible cites, no
-article text. Its first line is a BLAKE2b digest of the interpreter's
-version, of the source of ``ingest``, ``corpus`` and this module, of the
-corpus bytes and of the rest of the file, so only what this code wrote for
-these bytes matches: a hit rebuilds the pairs from it and skips the decode
-and the parse. Anything else is a miss, which parses as above and then
-replaces the file; a cache that cannot be read or written is ignored. Only a
-corpus the reader accepted is stored, so every diagnostic and output byte is
-the same on a hit and a miss. The digest comes from ``_blake2``, which
-``hashlib`` wraps: ``hashlib`` itself would load OpenSSL's libcrypto, 3.6 MiB
-of resident memory per command.
+relative; no cache without an absolute ``HOME``). It holds the last parsed
+corpus's ``journals`` and ``ibnp_totals`` sections, as the corpus JSON has
+them, and each journal's visible cites, no article text. Its first line is a
+BLAKE2b digest of the interpreter's version, of the source of ``ingest``,
+``corpus`` and this module, of the corpus bytes and of the rest of the file,
+so only what this code wrote for these bytes matches: a hit reads the
+journals back with the reader's journal checks and skips the decode and the
+parse. A miss parses as above and replaces the file; a cache that cannot be
+read or written is ignored. Only an accepted corpus is stored, so every
+diagnostic and output byte is the same on a hit and a miss. The digest comes
+from ``_blake2``, which ``hashlib`` wraps: ``hashlib`` itself would load
+OpenSSL's libcrypto, 3.6 MiB of resident memory per command.
 
 A data error raised while the registry, the alias file, an export or the
 corpus is decoded or parsed starts with that file's path.
@@ -54,13 +54,13 @@ from __future__ import annotations
 import os
 import re
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Optional, Sequence, Tuple
 
 from . import corpus, ingest
-from .corpus import DEFAULT_WINDOW, Area, IbnpCategory, JournalRecord, Library, filter_by_area
+from .corpus import DEFAULT_WINDOW, Area, filter_by_area
 from .errors import CitemetricError, DomainError
 from .ingest import _INTEGER, DedupConfig
 
@@ -191,13 +191,8 @@ def _journal_cites(path):
             stored = b""  # no entry yet
         tag, _, payload = stored.partition(b"\n")
         if tag == _tag(key, payload):
-            rows, cites = json.loads(payload)
-            journals = tuple(
-                JournalRecord(journal_id, title, Area(area), IbnpCategory(category), total,
-                              frozenset(map(Library, libraries)))
-                for journal_id, title, area, category, total, libraries in rows
-            )
-            return journals, cites
+            doc = json.loads(payload)
+            return ingest._journal_records(doc), doc["cites"]
     # decoded here, so the file's bytes are freed before the parse starts;
     # the reader strips a leading byte-order mark, as it does from bytes
     text = data.decode("utf-8")
@@ -205,14 +200,12 @@ def _journal_cites(path):
     journals, cites = ingest.journal_cites_from_json(text)
     del text
     if cache is not None:
-        rows = [[*j[:5], sorted(j.memberships)] for j in journals]
+        doc = {**ingest._journal_sections(journals), "cites": cites}
         # ASCII, so a title holding a lone surrogate escape is stored as read
-        payload = json.dumps([rows, cites], separators=(",", ":")).encode("ascii")
-        try:
+        payload = json.dumps(doc, separators=(",", ":")).encode("ascii")
+        with suppress(OSError):
             os.makedirs(entry.parent, mode=0o700, exist_ok=True)
             _write_atomic(entry, _tag(key, payload) + b"\n" + payload)
-        except OSError:
-            pass
     return journals, cites
 
 

@@ -204,13 +204,11 @@ def corpus_indicator_sets(
     and an unknown ``mean_mode`` raises :class:`DomainError` even then.
     """
     _check_mean_mode(mean_mode)
-    pairs = [
-        (journal, compute_indicator_set(journal, cites.get(journal.journal_id, ())))
-        for journal in journals
-    ]
-
+    pairs = []
     rated: dict[Area, list[IndicatorSet]] = {}
-    for journal, indicator in pairs:
+    for journal in journals:
+        indicator = compute_indicator_set(journal, cites.get(journal.journal_id, ()))
+        pairs.append((journal, indicator))
         if indicator.ca_mean is not None:
             rated.setdefault(journal.area, []).append(indicator)
     area_means = {area: area_mean_citation(sets, mean_mode) for area, sets in rated.items()}

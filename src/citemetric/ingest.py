@@ -558,10 +558,9 @@ def _section(name: str):
         raise MalformedCorpus(f"corpus JSON {name}: {error}") from None
 
 
-def corpus_to_json(corpus: JournalCorpus) -> str:
-    """Serialize to the canonical single-document JSON form (deterministic bytes)."""
-    doc = {
-        "window": list(corpus.window),
+def _journal_sections(journals: Sequence[JournalRecord]) -> dict:
+    """The corpus JSON's journals and ibnp_totals sections for ``journals``."""
+    return {
         "journals": [
             {
                 "journal_id": j.journal_id,
@@ -570,11 +569,21 @@ def corpus_to_json(corpus: JournalCorpus) -> str:
                 "category": j.category.value,
                 "memberships": [t.value for t in Library if t in j.memberships],
             }
-            for j in corpus.journals
+            for j in journals
         ],
+        "ibnp_totals": {j.journal_id: j.air_ibnp for j in journals},
+    }
+
+
+def corpus_to_json(corpus: JournalCorpus) -> str:
+    """Serialize to the canonical single-document JSON form (deterministic bytes)."""
+    sections = _journal_sections(corpus.journals)
+    doc = {
+        "window": list(corpus.window),
+        "journals": sections["journals"],
         # ArticleStatus is a str enum, so json writes its value
         "articles": [a._asdict() for a in corpus.articles],
-        "ibnp_totals": {j.journal_id: j.air_ibnp for j in corpus.journals},
+        "ibnp_totals": sections["ibnp_totals"],
     }
     return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
 
@@ -647,9 +656,8 @@ def _entries(doc, section: str, entry: str):
         yield index, obj
 
 
-def _journals_and_window(doc) -> Tuple[Tuple[JournalRecord, ...], Tuple[int, int]]:
-    """The journal records of ``doc``'s journals and ibnp_totals sections,
-    checked, and its window."""
+def _journal_records(doc) -> Tuple[JournalRecord, ...]:
+    """The journal records of the sections :func:`_journal_sections` wrote in ``doc``, checked."""
     if type(doc) is not dict:
         raise MalformedCorpus(f"corpus JSON is {type(doc).__name__}, not dict")
     with _section("journals"):
@@ -684,13 +692,19 @@ def _journals_and_window(doc) -> Tuple[Tuple[JournalRecord, ...], Tuple[int, int
         for journal_id in totals:
             if journal_id not in known:
                 raise ValueError(f"entry for unknown journal {journal_id!r}")
+    return tuple(journals)
+
+
+def _journals_and_window(doc) -> Tuple[Tuple[JournalRecord, ...], Tuple[int, int]]:
+    """The checked journal records of ``doc`` and its window."""
+    journals = _journal_records(doc)
     with _section("window"):
         window = doc["window"]
         if type(window) is not list or len(window) != 2 or any(type(y) is not int for y in window):
             raise ValueError(f"expected two int years, got {window!r}")
         if window[0] > window[1]:
             raise ValueError(f"start {window[0]} is after end {window[1]}")
-    return tuple(journals), tuple(window)
+    return journals, tuple(window)
 
 
 def corpus_from_json(content) -> JournalCorpus:
