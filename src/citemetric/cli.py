@@ -28,12 +28,16 @@ runs, so ``factor`` and ``regress`` load numpy without it.
 Those pairs are cached, so commands run one after another on one corpus
 parse it once. The cache is one file, ``citemetric/journal_cites`` under
 ``$XDG_CACHE_HOME`` (``~/.cache`` when that variable is unset, empty or
-relative; no cache without an absolute ``HOME``). It holds the last parsed
-corpus's ``journals`` and ``ibnp_totals`` sections, as the corpus JSON has
-them, and each journal's visible cites, no article text. Its first line is a
-BLAKE2b digest of the interpreter's version, of the source of ``ingest``,
-``corpus`` and this module, of the corpus bytes and of the rest of the file,
-so only what this code wrote for these bytes matches: a hit reads the
+relative; no cache without an absolute ``HOME``). Its second line, the
+payload, holds the last parsed corpus's ``journals`` and ``ibnp_totals``
+sections, as the corpus JSON has them, and each journal's visible cites; a
+verbatim copy of the corpus file follows, so the file is about as large as
+that corpus. Its first line, the tag, is a BLAKE2b digest of the
+interpreter's version, of the source of ``ingest``, ``corpus`` and this
+module, of the corpus's length and of the payload. A hit needs the tag to
+match and the copy to equal the corpus bytes, compared ``_CHUNK`` bytes at a
+time, up to the end of the file: only what this code wrote for these very
+bytes matches, and the corpus itself is never hashed. A hit reads the
 journals back with the reader's journal checks and skips the decode and the
 parse. A miss parses as above and replaces the file; a cache that cannot be
 read or written is ignored. Only an accepted corpus is stored, so every
@@ -55,9 +59,10 @@ import os
 import re
 import sys
 from contextlib import contextmanager, suppress
+from itertools import chain
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 from . import corpus, ingest
 from .corpus import DEFAULT_WINDOW, Area, filter_by_area
@@ -117,7 +122,7 @@ def _window(text: str) -> Tuple[int, int]:
     return start, end
 
 
-def _write_atomic(path: str, data: bytes) -> None:
+def _write_atomic(path: str, parts: Iterable[bytes]) -> None:
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     temp = target.with_name(f"{target.name}.{os.urandom(6).hex()}")
@@ -126,7 +131,7 @@ def _write_atomic(path: str, data: bytes) -> None:
     handle = open(temp, "xb")
     try:
         with handle:
-            handle.write(data)
+            handle.writelines(parts)
         os.replace(temp, target)
     except BaseException:
         temp.unlink(missing_ok=True)
@@ -143,9 +148,14 @@ def _reading(path):
         raise DomainError(f"{path}: {error}") from None
 
 
-def _cache(data: bytes):
-    """The cache's one file and the key of the corpus whose bytes are
-    ``data``; None when there is no absolute cache directory or no key."""
+#: bytes of the stored corpus copy read and compared at a time
+_CHUNK = 1 << 16
+
+
+def _cache():
+    """The cache's one file and a digest of the interpreter's version and the
+    reader's sources; None when there is no absolute cache directory or no
+    digest."""
     base = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(base):  # unset, empty or relative
         home = os.environ.get("HOME", "")
@@ -163,17 +173,34 @@ def _cache(data: bytes):
             key.update(code)
     except (ImportError, OSError):
         return None
-    key.update(len(data).to_bytes(8, "big"))
-    key.update(data)
     return Path(base, "citemetric", "journal_cites"), key
 
 
-def _tag(key, payload: bytes) -> bytes:
-    """An entry's first line: the corpus key extended with the entry's payload,
-    so only a payload this code wrote for this corpus matches it."""
+def _tag(key, size: int, payload: bytes) -> bytes:
+    """An entry's first line: the reader's key extended with the corpus's
+    length and the entry's payload line."""
     tag = key.copy()
+    tag.update(size.to_bytes(8, "big"))
     tag.update(payload)
-    return tag.hexdigest().encode("ascii")
+    return tag.hexdigest().encode("ascii") + b"\n"
+
+
+def _stored(entry, key, data: bytes):
+    """The payload line of ``entry`` when this code wrote it for the corpus
+    whose bytes are ``data``, else None: the tag matches, the copy after the
+    payload equals ``data`` byte for byte, and nothing follows the copy."""
+    try:
+        with open(entry, "rb") as handle:
+            tag, payload = handle.readline(), handle.readline()
+            if tag != _tag(key, len(data), payload):
+                return None
+            # bytes slices: comparing memoryview slices runs item by item
+            for start in range(0, len(data), _CHUNK):
+                if handle.read(_CHUNK) != data[start : start + _CHUNK]:
+                    return None
+            return None if handle.read(1) else payload
+    except OSError:  # no entry yet, or one that cannot be read
+        return None
 
 
 def _journal_cites(path):
@@ -182,30 +209,29 @@ def _journal_cites(path):
     import json
 
     data = Path(path).read_bytes()
-    cache = _cache(data)
+    cache = _cache()
     if cache is not None:
         entry, key = cache
-        try:
-            stored = entry.read_bytes()
-        except OSError:
-            stored = b""  # no entry yet
-        tag, _, payload = stored.partition(b"\n")
-        if tag == _tag(key, payload):
+        payload = _stored(entry, key, data)
+        if payload is not None:
             doc = json.loads(payload)
             return ingest._journal_records(doc), doc["cites"]
+    size = len(data)
     # decoded here, so the file's bytes are freed before the parse starts;
     # the reader strips a leading byte-order mark, as it does from bytes
     text = data.decode("utf-8")
     del data
     journals, cites = ingest.journal_cites_from_json(text)
-    del text
     if cache is not None:
         doc = {**ingest._journal_sections(journals), "cites": cites}
         # ASCII, so a title holding a lone surrogate escape is stored as read
-        payload = json.dumps(doc, separators=(",", ":")).encode("ascii")
+        payload = json.dumps(doc, separators=(",", ":")).encode("ascii") + b"\n"
+        # a strict decode leaves no lone surrogate, so each chunk encodes back
+        # to the file's own bytes
+        copy = (text[i : i + _CHUNK].encode("utf-8") for i in range(0, len(text), _CHUNK))
         with suppress(OSError):
             os.makedirs(entry.parent, mode=0o700, exist_ok=True)
-            _write_atomic(entry, _tag(key, payload) + b"\n" + payload)
+            _write_atomic(entry, chain((_tag(key, size, payload), payload), copy))
     return journals, cites
 
 
@@ -431,7 +457,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = _build_parser().parse_args(argv)
     _help, run, _arguments = _COMMANDS[args.command]
     try:
-        _write_atomic(args.out, run(args).encode("utf-8"))
+        _write_atomic(args.out, [run(args).encode("utf-8")])
     except (CitemetricError, ValueError, OSError) as error:
         print(f"citemetric {args.command}: {error}", file=sys.stderr)
         return 1

@@ -543,8 +543,13 @@ def build_corpus(
 
 # --- corpus JSON -----------------------------------------------------------
 
-# a plain lookup is several times cheaper than ArticleStatus(value) per article
-_STATUS_BY_VALUE = {s.value: s for s in ArticleStatus}
+# a plain lookup is several times cheaper than an enum call such as
+# ArticleStatus(value), once per article or journal; an unknown value, or one
+# of another JSON type, still goes through the enum for its own ValueError
+_STATUS_BY_VALUE, _AREA_BY_VALUE, _CATEGORY_BY_VALUE, _LIBRARY_BY_VALUE = (
+    {member.value: member for member in enum}
+    for enum in (ArticleStatus, Area, IbnpCategory, Library)
+)
 
 
 @contextmanager
@@ -621,7 +626,6 @@ def _article(a, index) -> ArticleRecord:
         raise _scalar_fault(f"article {index}", "publisher", publisher, "str")
     if type(url) is not str:
         raise _scalar_fault(f"article {index}", "url", url, "str")
-    # an unknown value, or one of another JSON type, gets the enum's own ValueError
     try:
         status = _STATUS_BY_VALUE[a["status"]]
     except (KeyError, TypeError):
@@ -668,10 +672,16 @@ def _journal_records(doc) -> Tuple[JournalRecord, ...]:
                 raise _scalar_fault(f"journal {index}", "journal_id", journal_id, "str")
             if type(title) is not str:
                 raise _scalar_fault(f"journal {index}", "title", title, "str")
-            area, category = Area(j["area"]), IbnpCategory(j["category"])
+            try:
+                area, category = _AREA_BY_VALUE[j["area"]], _CATEGORY_BY_VALUE[j["category"]]
+            except (KeyError, TypeError):
+                area, category = Area(j["area"]), IbnpCategory(j["category"])
             if type(memberships) is not list:
                 raise _scalar_fault(f"journal {index}", "memberships", memberships, "list")
-            libraries = frozenset(Library(t) for t in memberships)
+            try:
+                libraries = frozenset([_LIBRARY_BY_VALUE[t] for t in memberships])
+            except (KeyError, TypeError):
+                libraries = frozenset(Library(t) for t in memberships)
             # a repeated name would load merged and be written back once
             if len(libraries) < len(memberships):
                 raise ValueError(f"journal {index}: memberships repeat a library: {memberships!r}")

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from citemetric import analysis, classify, indicators, ingest
 from citemetric.cli import (
+    _CHUNK,
     _COMMANDS,
     _journal_cites,
     _alpha,
@@ -1458,15 +1459,19 @@ def test_a_cache_hit_writes_the_bytes_of_a_miss(tmp_path, monkeypatch, capsys, s
 @pytest.mark.parametrize("source", ["bundled", "generated"])
 def test_a_cache_entry_holds_the_corpus_journal_sections(tmp_path, source):
     """The entry keeps the corpus document's own journals and ibnp_totals
-    sections, as ``corpus_to_json`` writes them, beside the visible cites."""
+    sections, as ``corpus_to_json`` writes them, beside the visible cites,
+    and then a copy of the corpus file's bytes."""
     corpus = BUNDLED_CORPUS
     if source == "generated":
         bench_module("workloads").write_corpus_input(3, tmp_path, journals=60, articles=(20, 60))
         corpus = tmp_path / "corpus.json"
     _, cites = _journal_cites(corpus)
-    entry = json.loads(_entry().read_bytes().partition(b"\n")[2])
+    _, payload, copy = _entry().read_bytes().split(b"\n", 2)
     doc = json.loads(corpus.read_text(encoding="utf-8"))
-    assert entry == {"journals": doc["journals"], "ibnp_totals": doc["ibnp_totals"], "cites": cites}
+    assert json.loads(payload) == {
+        "journals": doc["journals"], "ibnp_totals": doc["ibnp_totals"], "cites": cites
+    }
+    assert copy == corpus.read_bytes()
 
 
 def test_a_title_with_a_lone_surrogate_is_cached_as_read(tmp_path):
@@ -1482,6 +1487,16 @@ def test_a_title_with_a_lone_surrogate_is_cached_as_read(tmp_path):
         assert _journal_cites(corpus) == missed
 
 
+def _in_payload(edit):
+    """A damage to a cache entry's payload line: ``edit`` rewrites it."""
+    return lambda payload, copy: (edit(payload), copy)
+
+
+def _in_copy(edit):
+    """A damage to a cache entry's copy of the corpus: ``edit`` rewrites it."""
+    return lambda payload, copy: (payload, edit(copy))
+
+
 def _entry_of(transform):
     """A damage to a cache entry's payload: ``transform`` edits its first
     journal and its cites."""
@@ -1491,44 +1506,85 @@ def _entry_of(transform):
         transform(doc["journals"][0], doc["cites"])
         return json.dumps(doc).encode("ascii")
 
-    return damage
+    return _in_payload(damage)
 
 
 def _set_cite(value):
     return _entry_of(lambda journal, cites: next(iter(cites.values())).__setitem__(0, value))
 
 
+def _flip_middle_byte(data: bytes) -> bytes:
+    middle = len(data) // 2
+    return data[:middle] + bytes([data[middle] ^ 1]) + data[middle + 1 :]
+
+
 @pytest.mark.parametrize(
     "damage",
     [
-        lambda payload: b"{",
-        lambda payload: b"[]",
+        _in_payload(lambda payload: b"{"),
+        _in_payload(lambda payload: b"[]"),
         _entry_of(lambda journal, cites: journal.__setitem__("area", "Artes")),
         _set_cite(True),
         _set_cite("5"),
         _set_cite(-1),
         _entry_of(lambda journal, cites: journal.__setitem__("memberships", "WoK")),
-        lambda payload: b"[" * 100_000,
-        lambda payload: payload + b" ",
+        _in_payload(lambda payload: b"[" * 100_000),
+        _in_payload(lambda payload: payload + b" "),
+        _in_copy(_flip_middle_byte),
+        _in_copy(lambda copy: copy[:-1]),
+        _in_copy(lambda copy: copy + b" "),
     ],
     ids=["truncated", "empty_list", "unknown_area", "true_cite", "string_cite", "negative_cite",
-         "memberships_as_string", "nested", "trailing_space"],
+         "memberships_as_string", "nested", "trailing_space",
+         "copy_byte_flipped", "copy_last_byte_dropped", "copy_byte_appended"],
 )
 @pytest.mark.parametrize("tag", ["kept", "dropped"])
 def test_a_damaged_cache_entry_is_a_miss_and_is_rewritten(tmp_path, capsys, damage, tag):
-    """The entry's digest covers its payload, so a payload this code did not
-    write is a miss under the digest of the one it did."""
+    """The entry's tag covers its payload, so a payload this code did not
+    write is a miss under the tag of the one it did; a copy that is not the
+    corpus byte for byte, up to the end of the file, is a miss too."""
     argv = ["classify", "--corpus", str(BUNDLED_CORPUS), "--out", str(tmp_path / "table.csv")]
     assert main(argv) == 0
     expected = (tmp_path / "table.csv").read_bytes()
     entry = _entry()
     written = entry.read_bytes()
-    digest, _, payload = written.partition(b"\n")
-    entry.write_bytes((digest + b"\n" if tag == "kept" else b"") + damage(payload))
+    digest, payload, copy = written.split(b"\n", 2)
+    payload, copy = damage(payload, copy)
+    entry.write_bytes((digest + b"\n" if tag == "kept" else b"") + payload + b"\n" + copy)
     assert main(argv) == 0
     assert (tmp_path / "table.csv").read_bytes() == expected
     assert capsys.readouterr().err == ""
     assert entry.read_bytes() == written
+
+
+@pytest.mark.parametrize("end", [-1, 0, 1])
+def test_a_corpus_ending_at_a_chunk_boundary_is_compared_to_its_last_byte(tmp_path, end):
+    """The copy is compared in chunks of ``_CHUNK`` bytes. Padded with
+    trailing whitespace to end one byte before, at or after a chunk boundary,
+    the corpus is a miss, then a hit. A byte appended to the entry is a miss
+    that restores it, and so is a change to the corpus's last byte alone."""
+    text = BUNDLED_CORPUS.read_bytes()
+    padded = text.ljust(((len(text) + 1) // _CHUNK + 1) * _CHUNK + end)
+    corpus = tmp_path / "corpus.json"
+    argv = ["classify", "--corpus", str(corpus), "--out", str(tmp_path / "table.csv")]
+
+    def parses(content: bytes) -> int:
+        corpus.write_bytes(content)
+        with mock.patch.object(
+            ingest, "journal_cites_from_json", wraps=ingest.journal_cites_from_json
+        ) as parse:
+            assert main(argv) == 0
+        return parse.call_count
+
+    assert len(padded) % _CHUNK == end % _CHUNK
+    assert parses(padded) == 1
+    with _no_parse():
+        assert main(argv) == 0
+    written = _entry().read_bytes()
+    _entry().write_bytes(written + b" ")
+    assert parses(padded) == 1
+    assert _entry().read_bytes() == written
+    assert parses(padded[:-1] + b"\n") == 1
 
 
 def _relative_cache(tmp_path, monkeypatch):
