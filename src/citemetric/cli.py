@@ -34,15 +34,15 @@ sections, as the corpus JSON has them, and each journal's visible cites; a
 verbatim copy of the corpus file follows, so the file is about as large as
 that corpus. Its first line, the tag, is a BLAKE2b digest of the
 interpreter's version, of the source of ``ingest``, ``corpus`` and this
-module, of the corpus's length and of the payload. A hit needs the tag to
-match and the copy to equal the corpus bytes, compared ``_CHUNK`` bytes at a
-time, up to the end of the file: only what this code wrote for these very
-bytes matches, and the corpus itself is never hashed. A hit reads the
-journals back with the reader's journal checks and skips the decode and the
-parse. A miss parses as above and replaces the file; a cache that cannot be
-read or written is ignored. Only an accepted corpus is stored, so every
-diagnostic and output byte is the same on a hit and a miss. The digest comes
-from ``_blake2``, which ``hashlib`` wraps: ``hashlib`` itself would load
+module and of the payload. A hit needs the tag to match and the copy to
+equal the corpus bytes, compared ``_CHUNK`` bytes at a time, up to the end
+of the file: the stored copy alone decides which corpus an entry is for,
+and the corpus itself is never hashed. A hit reads the journals back with
+the reader's journal checks and skips the decode and the parse. A miss
+parses as above and replaces the file; a cache that cannot be read or
+written is ignored. Only an accepted corpus is stored, so every diagnostic
+and output byte is the same on a hit and a miss. The digest comes from
+``_blake2``, which ``hashlib`` wraps: ``hashlib`` itself would load
 OpenSSL's libcrypto, 3.6 MiB of resident memory per command.
 
 A data error raised while the registry, the alias file, an export or the
@@ -176,11 +176,9 @@ def _cache():
     return Path(base, "citemetric", "journal_cites"), key
 
 
-def _tag(key, size: int, payload: bytes) -> bytes:
-    """An entry's first line: the reader's key extended with the corpus's
-    length and the entry's payload line."""
+def _tag(key, payload: bytes) -> bytes:
+    """An entry's first line: the reader's key extended with its payload line."""
     tag = key.copy()
-    tag.update(size.to_bytes(8, "big"))
     tag.update(payload)
     return tag.hexdigest().encode("ascii") + b"\n"
 
@@ -192,7 +190,7 @@ def _stored(entry, key, data: bytes):
     try:
         with open(entry, "rb") as handle:
             tag, payload = handle.readline(), handle.readline()
-            if tag != _tag(key, len(data), payload):
+            if tag != _tag(key, payload):
                 return None
             # bytes slices: comparing memoryview slices runs item by item
             for start in range(0, len(data), _CHUNK):
@@ -216,10 +214,12 @@ def _journal_cites(path):
         if payload is not None:
             doc = json.loads(payload)
             return ingest._journal_records(doc), doc["cites"]
-    size = len(data)
     # decoded here, so the file's bytes are freed before the parse starts;
     # the reader strips a leading byte-order mark, as it does from bytes
-    text = data.decode("utf-8")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return ingest.journal_cites_from_json(data)  # the reader names the fault
     del data
     journals, cites = ingest.journal_cites_from_json(text)
     if cache is not None:
@@ -231,7 +231,7 @@ def _journal_cites(path):
         copy = (text[i : i + _CHUNK].encode("utf-8") for i in range(0, len(text), _CHUNK))
         with suppress(OSError):
             os.makedirs(entry.parent, mode=0o700, exist_ok=True)
-            _write_atomic(entry, chain((_tag(key, size, payload), payload), copy))
+            _write_atomic(entry, chain((_tag(key, payload), payload), copy))
     return journals, cites
 
 

@@ -895,8 +895,8 @@ def _not_utf8(doc):
         (_article_as_list, "corpus JSON articles: article 3 is list, not dict"),
         (_document_as_list, "corpus JSON is list, not dict"),
         (_not_json, "does not parse: Expecting property name enclosed in double quotes: line 1"),
-        # the command decodes the file itself, so the codec names the fault
-        (_not_utf8, "'utf-8' codec can't decode byte 0xff in position 0"),
+        # the command hands bytes it cannot decode to the reader, which names them
+        (_not_utf8, "corpus JSON is not UTF-8: 'utf-8' codec can't decode byte 0xff in position 0"),
     ],
 )
 def test_malformed_corpus_json_is_a_one_line_data_error(tmp_path, capsys, damage, says):
@@ -908,7 +908,7 @@ def test_malformed_corpus_json_is_a_one_line_data_error(tmp_path, capsys, damage
     assert main(["classify", "--corpus", str(corpus), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"citemetric classify: {corpus}: ")
-    assert err.startswith(f"citemetric classify: {corpus}: corpus JSON ") or damage is _not_utf8
+    assert err.startswith(f"citemetric classify: {corpus}: corpus JSON ")
     assert says in err
     assert len(err.splitlines()) == 1
     assert not out.exists()
@@ -1409,7 +1409,9 @@ def _no_parse():
 
 
 def test_a_cache_hit_holds_the_file_and_little_else(tmp_path):
-    """A hit reads the file's bytes to key them and a small entry, and parses neither."""
+    """A hit holds the corpus file's bytes, the entry's payload and 64 KiB
+    slices of the entry's copy of the corpus, under 1.5 times the file's size,
+    and parses nothing."""
     bench_module("workloads").write_corpus_input(3, tmp_path, journals=60, articles=(20, 60))
     corpus = tmp_path / "corpus.json"
     argv = ["classify", "--corpus", str(corpus), "--out", str(tmp_path / "table.csv")]
@@ -1624,6 +1626,26 @@ def test_a_cache_that_cannot_be_used_changes_nothing(tmp_path, monkeypatch, caps
     assert not any(cwd.iterdir())
     if cache is not None:
         assert (cache / "citemetric" / "journal_cites").is_file()
+
+
+def _no_blake2(tmp_path, monkeypatch):
+    monkeypatch.setitem(sys.modules, "_blake2", None)
+
+
+def _no_reader_source(tmp_path, monkeypatch):
+    monkeypatch.setattr(ingest, "__file__", str(tmp_path / "missing" / "ingest.py"))
+
+
+@pytest.mark.parametrize("lack", [_no_blake2, _no_reader_source])
+def test_a_cache_without_a_key_changes_nothing(tmp_path, monkeypatch, capsys, lack):
+    """With no ``_blake2`` or no readable reader source there is no key, so
+    the command runs without the cache: the same table, no message, no entry."""
+    lack(tmp_path, monkeypatch)
+    out = tmp_path / "table.md"
+    assert main([*_GOLDEN_MD_ARGV, "--out", str(out)]) == 0
+    assert out.read_bytes() == GOLDEN_MD.read_bytes()
+    assert capsys.readouterr().err == ""
+    assert not _entry().exists()
 
 
 def test_one_changed_byte_of_the_corpus_is_a_miss(tmp_path):
