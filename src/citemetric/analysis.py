@@ -9,8 +9,6 @@ for that area's journals, and reads indicator values through the named variables
 
 from __future__ import annotations
 
-import json
-import math
 from enum import Enum
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Tuple
 
@@ -22,6 +20,7 @@ from .indicators import (
     GroupSummary,
     IndicatorSet,
     corpus_indicator_sets,
+    json_text,
     summarize_group,
 )
 from .statkit import (
@@ -254,34 +253,8 @@ def citation_regression(pairs: Pairs, response: str = "logcr") -> RegressionResu
 # --- serialization ----------------------------------------------------------
 
 
-def _plain(value):
-    """A named tuple as an object of its fields in order, any other tuple or
-    list as an array, a dict as an object, and a non-finite float as null."""
-    if isinstance(value, tuple) and hasattr(value, "_fields"):
-        return {name: _plain(item) for name, item in zip(value._fields, value)}
-    if isinstance(value, (tuple, list)):
-        return [_plain(item) for item in value]
-    if isinstance(value, dict):
-        return {key: _plain(item) for key, item in value.items()}
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
-
-
-def _dumps(doc) -> str:
-    return json.dumps(_plain(doc), ensure_ascii=False, indent=2) + "\n"
-
-
-def comparison_to_json(table: ComparisonTable) -> str:
-    return _dumps(table)
-
-
-def correlation_to_json(matrix: CorrelationMatrix) -> str:
-    return _dumps(matrix)
-
-
 def factor_to_json(result: FactorResult) -> str:
-    return _dumps(
+    return json_text(
         {
             "variables": FACTOR_VARIABLES,
             **result._asdict(),
@@ -291,4 +264,5 @@ def factor_to_json(result: FactorResult) -> str:
 
 
 def regression_to_json(result: RegressionResult, response: str) -> str:
-    return _dumps({"response": response, "predictors": REGRESSION_PREDICTORS, **result._asdict()})
+    doc = {"response": response, "predictors": REGRESSION_PREDICTORS, **result._asdict()}
+    return json_text(doc)

@@ -7,14 +7,13 @@ cuts and :func:`empirical_bounds` reads them off a ranking.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .corpus import IbnpCategory, JournalRecord
 from .errors import DomainError
-from .indicators import IndicatorSet, csv_record
+from .indicators import IndicatorSet, csv_record, json_text
 
 
 #: conventional integer cutoffs: quartile 1 above 3, then 3, 2, 1 and below. As the
@@ -106,8 +105,7 @@ def emit_report(
         lines = [csv_record(REPORT_COLUMNS)] + [csv_record(_row_cells(row)) for row in selected]
         return "".join(lines)
     if fmt == "json":
-        doc = [{**row._asdict(), "cpn": round(row.cpn, 2)} for row in selected]
-        return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
+        return json_text([row._replace(cpn=round(row.cpn, 2)) for row in selected])
     if fmt == "md":
         lines = [
             "| " + " | ".join(REPORT_COLUMNS) + " |",

@@ -285,7 +285,7 @@ def _variables(text: str) -> list:
 
 
 def _run_compare(args) -> str:
-    from . import analysis
+    from . import analysis, indicators
 
     variables = analysis.DEFAULT_COMPARE_VARIABLES if args.vars is None else _variables(args.vars)
     table = analysis.compare_groups(
@@ -295,14 +295,14 @@ def _run_compare(args) -> str:
         method=args.method,
         alpha=args.alpha,
     )
-    return analysis.comparison_to_json(table)
+    return indicators.json_text(table)
 
 
 def _run_correlate(args) -> str:
-    from . import analysis
+    from . import analysis, indicators
 
     matrix = analysis.correlation_matrix(_area_pairs(args), _variables(args.vars), args.alpha)
-    return analysis.correlation_to_json(matrix)
+    return indicators.json_text(matrix)
 
 
 def _run_factor(args) -> str:

@@ -6,6 +6,7 @@ dividing by zero; undefined values serialize as empty cells, never NaN.
 
 from __future__ import annotations
 
+import json
 import math
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Tuple
 
@@ -244,6 +245,25 @@ def csv_record(cells: Sequence) -> str:
     reader, and 3.10's refuses a NUL; this writes the same bytes on every version.
     """
     return ",".join(_csv_cell(str(cell)) for cell in cells) + "\n"
+
+
+def _plain(value):
+    """A named tuple as an object of its fields in order, any other tuple or
+    list as an array, a dict as an object, and a non-finite float as null."""
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        return {name: _plain(item) for name, item in zip(value._fields, value)}
+    if isinstance(value, (tuple, list)):
+        return [_plain(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
+def json_text(doc) -> str:
+    """``doc`` as UTF-8 JSON text with a two-space indent and a final line feed."""
+    return json.dumps(_plain(doc), ensure_ascii=False, indent=2) + "\n"
 
 
 def indicators_csv(pairs: Sequence[Tuple[JournalRecord, IndicatorSet]]) -> str:

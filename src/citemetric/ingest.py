@@ -38,14 +38,8 @@ REGISTRY_HEADER = "journal_id,title,area,ibnp_category,air_ibnp,wok,scopus,redal
 EXPORT_HEADER = "cites,authors,title,year,publication,publisher,url"
 ALIAS_HEADER = "from_title,to_title"
 
-# registry membership columns in file order
-_MEMBERSHIP_COLUMNS = (
-    ("wok", Library.WOK),
-    ("scopus", Library.SCOPUS),
-    ("redalyc", Library.REDALYC),
-    ("scielo", Library.SCIELO),
-    ("gscholar", Library.GOOGLE_SCHOLAR),
-)
+# registry membership columns in file order, each with its library: Library's order is the file's
+_MEMBERSHIP_COLUMNS = tuple(zip(REGISTRY_HEADER.split(",")[5:], Library, strict=True))
 
 
 class DedupRule(str, Enum):

@@ -8,7 +8,8 @@ correlation matrix (``numpy.linalg.eigh``). ``anova_oneway`` and ``ols_fit``
 share one F test (``_f_test``); ``anova_oneway`` and ``tukey_groups`` share
 one within-group pass (``_within_groups``). Both one-way tests give statistic
 0 and p = 1 when the data carry no between-group signal (equal group means,
-or every observation tied). Everything is pure and deterministic;
+or every observation tied). Every entry point refuses an observation that
+is not finite. Everything is pure and deterministic;
 accumulations use ``math.fsum``, which is correctly rounded, so sums do not
 depend on input order at all.
 
@@ -26,6 +27,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from enum import Enum
+from itertools import chain
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DomainError
@@ -80,6 +82,11 @@ class FactorResult(NamedTuple):
 
 def _mean(values: Sequence[float]) -> float:
     return math.fsum(values) / len(values)
+
+
+def _check_finite(*samples: Sequence[float]) -> None:
+    if not all(map(math.isfinite, chain.from_iterable(samples))):
+        raise DomainError("observations must be finite")
 
 
 def _pearson(x: Sequence[float], y: Sequence[float]) -> float:
@@ -250,6 +257,7 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     n = len(x)
     if n < 3:
         raise DomainError("need at least 3 pairs")
+    _check_finite(x, y)
     r = _pearson(mid_ranks(x), mid_ranks(y))
     r = max(-1.0, min(1.0, r))
     if abs(r) == 1.0:
@@ -285,6 +293,7 @@ def ols_fit(y: Sequence[float], predictors: Sequence[Sequence[float]]) -> Regres
         cols.append(cv)
     if n <= p + 1:
         raise DomainError(f"need more than {p + 1} observations, got {n}")
+    _check_finite(yv, *cols)
     design = np.column_stack([np.ones(n)] + cols)
     if np.linalg.cond(design) > 1e12:
         raise DomainError("design matrix is numerically singular")
@@ -346,6 +355,7 @@ def _check_groups(groups: Sequence[Sequence[float]]) -> int:
     n = sum(len(g) for g in groups)
     if n <= len(groups):
         raise DomainError("no within-group degrees of freedom")
+    _check_finite(*groups)
     return n
 
 
@@ -511,6 +521,7 @@ def pca_unrotated(data) -> FactorResult:
         raise DomainError("need at least two variables")
     if n <= p:
         raise DomainError("need more observations than variables")
+    _check_finite(array.ravel())
     columns = [array[:, j] for j in range(p)]
     for j, col in enumerate(columns):
         if all(v == col[0] for v in col):

@@ -15,10 +15,8 @@ from citemetric.analysis import (
     citation_factor_analysis,
     citation_regression,
     compare_groups,
-    comparison_to_json,
     contributing_variables,
     correlation_matrix,
-    correlation_to_json,
     factor_to_json,
     regression_to_json,
 )
@@ -33,7 +31,13 @@ from citemetric.corpus import (
     visible_cites,
 )
 from citemetric.errors import DomainError
-from citemetric.indicators import VARIABLES, GroupSummary, corpus_indicator_sets, summarize_group
+from citemetric.indicators import (
+    VARIABLES,
+    GroupSummary,
+    corpus_indicator_sets,
+    json_text,
+    summarize_group,
+)
 from citemetric.ingest import corpus_from_json
 from citemetric.statkit import (
     FactorResult,
@@ -416,8 +420,8 @@ def test_analysis_outputs_are_deterministic_json():
     matrix = correlation_matrix(pairs, ["h", "cr_ga_log10", "pi_ld"])
     factor = citation_factor_analysis(pairs)
     regression = citation_regression(pairs)
-    assert comparison_to_json(table) == comparison_to_json(table)
-    assert correlation_to_json(matrix) == correlation_to_json(matrix)
+    assert json_text(table) == json_text(table)
+    assert json_text(matrix) == json_text(matrix)
     assert factor_to_json(factor) == factor_to_json(factor)
     assert regression_to_json(regression, "logcr") == regression_to_json(regression, "logcr")
 
@@ -428,7 +432,7 @@ def test_serialized_documents_carry_required_keys():
     corpus = build_fixture_corpus()
     pairs = corpus_indicator_sets(corpus.journals, visible_cites(corpus))
     table = compare_groups(pairs, GroupDimension.BY_CATEGORY)
-    doc = json.loads(comparison_to_json(table))
+    doc = json.loads(json_text(table))
     assert {"dimension", "variables", "rows", "tests", "letters"} <= set(doc)
     assert set(DEFAULT_COMPARE_VARIABLES) == set(doc["tests"])
     # every document's keys are its result's fields, in order
@@ -439,7 +443,7 @@ def test_serialized_documents_carry_required_keys():
     assert all(tuple(row) == GroupSummary._fields for row in doc["rows"])
 
     matrix = correlation_matrix(pairs, ["h", "cr_ga_log10"])
-    doc = json.loads(correlation_to_json(matrix))
+    doc = json.loads(json_text(matrix))
     assert {"variables", "r", "significant"} <= set(doc)
     assert tuple(doc) == CorrelationMatrix._fields
 

@@ -10,6 +10,7 @@ import re
 import subprocess
 import stat
 import sys
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -1646,6 +1647,40 @@ def test_a_cache_without_a_key_changes_nothing(tmp_path, monkeypatch, capsys, la
     assert out.read_bytes() == GOLDEN_MD.read_bytes()
     assert capsys.readouterr().err == ""
     assert not _entry().exists()
+
+
+def _main_reading_a_pipe(pipe, data, argv) -> int:
+    """``main(argv)``'s exit code, run while a thread writes ``data`` into the
+    named pipe ``pipe`` once. A second open of the pipe would wait for a
+    writer that never comes, so main must end in time."""
+    writer = threading.Thread(target=pipe.write_bytes, args=(data,), daemon=True)
+    codes = []
+    runner = threading.Thread(target=lambda: codes.append(main(argv)), daemon=True)
+    writer.start()
+    runner.start()
+    runner.join(timeout=60)
+    writer.join(timeout=5)
+    assert not (runner.is_alive() or writer.is_alive()), "the corpus was not read exactly once"
+    return codes[0]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_a_corpus_read_from_a_pipe_is_read_once(tmp_path):
+    """``--corpus /dev/stdin`` under a shell redirect or a pipe: the file can
+    be read only once, so the miss and the hit that follows must each take
+    the corpus from their one read and write the golden table."""
+    pipe = tmp_path / "corpus.pipe"
+    os.mkfifo(pipe)
+    argv = [*_GOLDEN_MD_ARGV, "--out", str(tmp_path / "table.md")]
+    argv[argv.index(str(BUNDLED_CORPUS))] = str(pipe)
+    data = BUNDLED_CORPUS.read_bytes()
+    assert _main_reading_a_pipe(pipe, data, argv) == 0  # a miss, which writes the entry
+    assert (tmp_path / "table.md").read_bytes() == GOLDEN_MD.read_bytes()
+    assert _entry().read_bytes().endswith(b"\n" + data)
+    (tmp_path / "table.md").unlink()
+    with _no_parse():
+        assert _main_reading_a_pipe(pipe, data, argv) == 0
+    assert (tmp_path / "table.md").read_bytes() == GOLDEN_MD.read_bytes()
 
 
 def test_one_changed_byte_of_the_corpus_is_a_miss(tmp_path):

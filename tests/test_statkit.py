@@ -161,6 +161,27 @@ def test_arguments_outside_the_domain_raise(call, says):
         call()
 
 
+_NON_FINITE_CALLS = {
+    "anova": lambda v: anova_oneway([[v, 1.0], [2.0, 3.0]]),
+    "kruskal": lambda v: kruskal_wallis([[1.0, 2.0], [3.0, v]]),
+    "tukey": lambda v: tukey_groups([[1.0, 2.0], [v, 4.0]]),
+    "spearman_x": lambda v: spearman([1.0, v, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0]),
+    "spearman_y": lambda v: spearman([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, v]),
+    "ols_response": lambda v: ols_fit([1.0, 3.0, v, 4.0, 6.0], [[1.0, 2.0, 3.0, 4.0, 5.0]]),
+    "ols_predictor": lambda v: ols_fit([1.0, 3.0, 2.0, 4.0, 6.0], [[1.0, 2.0, 3.0, v, 5.0]]),
+    "pca": lambda v: pca_unrotated([[1.0, 2.0], [2.0, v], [3.0, 1.0], [4.0, 5.0]]),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("call", _NON_FINITE_CALLS.values(), ids=_NON_FINITE_CALLS.keys())
+def test_an_observation_that_is_not_finite_raises(call, value):
+    """A NaN or an infinity gave a statistic with p = 0, NaN coefficients, or
+    numpy's LinAlgError; it is a one-line domain error at every entry point."""
+    with pytest.raises(DomainError, match=r"^observations must be finite$"):
+        call(value)
+
+
 # --- tail probabilities ----------------------------------------------------------
 
 
